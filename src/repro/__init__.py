@@ -46,9 +46,6 @@ from .api import (
     run_experiment,
     run_matrix,
 )
-# Concrete modules, not the ``repro.attacks`` aliases: the top-level
-# names are supported API and must construct without a deprecation
-# warning; only the package-level re-exports are deprecated.
 from .attacks.overlay_attack import (
     DrawAndDestroyOverlayAttack,
     OverlayAttackConfig,

@@ -10,12 +10,12 @@ irrelevant — only what a frame actually draws can be seen.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Optional
 
 from ..sim.event import EventHandle
 from ..sim.simulation import Simulation
 from .interpolators import Interpolator
-from .kernels import FrameTable, frame_table, rendered_pixels
 
 #: Android's ANIMATION_DURATION_STANDARD (ms) — notification slide-in.
 ANIMATION_DURATION_STANDARD = 360.0
@@ -83,13 +83,6 @@ class Animator:
         # Reverse playback bookkeeping.
         self._reverse_from = 0.0
         self._reverse_start: Optional[float] = None
-        # Kernel fast path: a memoized per-frame table of the eased curve
-        # (None when kernels are off or the interpolator is not cacheable).
-        # The animator only needs completeness, so the table is keyed at
-        # height 0; pixel consumers build their own height-keyed tables.
-        self._table: Optional[FrameTable] = frame_table(
-            interpolator, self._duration, self._refresh, 0
-        )
         # Frame accounting for the metrics plane. Imported lazily: the
         # compositor (which owns the metric names) imports toast code that
         # imports this module.
@@ -206,17 +199,7 @@ class Animator:
             assert self._start_time is not None
             elapsed = self._simulation.now - self._start_time
             x = min(elapsed / self._duration, 1.0)
-            # Table fast path: when the accumulated frame time lands on
-            # the nominal k*refresh grid (the common, fault-free case) the
-            # precomputed row holds value(x) for this exact float; misses
-            # (jittered frames, float-sum drift) fall back to the scalar
-            # evaluation, keeping the rendered bits identical either way.
-            value = None
-            if self._table is not None:
-                value = self._table.completeness_for_x(x)
-            if value is None:
-                value = self._interpolator.value(x)
-            self._render(value)
+            self._render(self._interpolator.value(x))
             if x >= 1.0:
                 self._state = AnimationState.FINISHED
                 self._finish(reverse=False)
@@ -266,9 +249,22 @@ class Animator:
         )
 
 
-# ``rendered_pixels`` is imported from ``.kernels`` above and re-exported
-# here unchanged so existing importers keep working; the pixel math
-# (including the documented [0, 1] clamp) lives in one place.
+def rendered_pixels(completeness: float, view_height_px: int) -> int:
+    """Pixels of a ``view_height_px``-tall view shown at ``completeness``.
+
+    Uses round-half-up to match the paper's "rounds 0.1224 up to 0" wording
+    (banker's rounding vs. half-up is irrelevant below 0.5 px).
+
+    ``completeness`` is clamped into ``[0, 1]`` first — documented
+    behavior, not an accident: a custom overshooting Bezier (``y`` control
+    points outside ``[0, 1]``) can report completeness beyond the range,
+    but a view never renders negative pixels or more pixels than it has.
+    """
+    if completeness <= 0.0:
+        return 0
+    if completeness >= 1.0:
+        return view_height_px
+    return int(math.floor(completeness * view_height_px + 0.5))
 
 
 def first_visible_frame_time(
@@ -283,17 +279,6 @@ def first_visible_frame_time(
     frame, so the answer is 0.0 when the view has any pixels at full
     completeness (and the usual "never visible" error otherwise).
     """
-    table = frame_table(
-        interpolator, duration_ms, refresh_interval_ms, view_height_px
-    )
-    if table is not None:
-        t = table.first_visible_time_ms()
-        if t is None:
-            raise ValueError(
-                f"animation never renders a visible pixel of a "
-                f"{view_height_px}px view"
-            )
-        return t
     if duration_ms == 0.0:
         if rendered_pixels(interpolator.value(1.0), view_height_px) >= 1:
             return 0.0

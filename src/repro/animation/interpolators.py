@@ -52,20 +52,6 @@ class Interpolator(ABC):
             (i / (samples - 1), self.value(i / (samples - 1))) for i in range(samples)
         ]
 
-    def cache_key(self):
-        """A stable, hashable key identifying this curve's *values*, or
-        ``None``.
-
-        Two interpolators with equal keys must return bit-identical
-        ``value(x)`` for every ``x`` — the frame-table cache
-        (:mod:`repro.animation.kernels`) uses the key to share tables
-        across animators and trials. The base class returns ``None``
-        (meaning "not cacheable"), so unknown subclasses are never served
-        another curve's table; built-ins override with their parameter
-        tuples.
-        """
-        return None
-
     def time_for_completeness(self, target: float, tolerance: float = 1e-9) -> float:
         """Inverse lookup: earliest normalized time with ``value >= target``.
 
@@ -98,9 +84,6 @@ class LinearInterpolator(Interpolator):
     def value(self, x: float) -> float:
         return _clamp01(x)
 
-    def cache_key(self):
-        return ("linear",)
-
 
 class AccelerateInterpolator(Interpolator):
     """``y = x^(2*factor)`` — Android's AccelerateInterpolator.
@@ -122,9 +105,6 @@ class AccelerateInterpolator(Interpolator):
             return x * x
         return math.pow(x, 2.0 * self.factor)
 
-    def cache_key(self):
-        return ("accelerate", self.factor)
-
 
 class DecelerateInterpolator(Interpolator):
     """``y = 1 - (1 - x)^(2*factor)`` — Android's DecelerateInterpolator.
@@ -145,9 +125,6 @@ class DecelerateInterpolator(Interpolator):
         if self.factor == 1.0:
             return 1.0 - (1.0 - x) * (1.0 - x)
         return 1.0 - math.pow(1.0 - x, 2.0 * self.factor)
-
-    def cache_key(self):
-        return ("decelerate", self.factor)
 
 
 class CubicBezierInterpolator(Interpolator):
@@ -209,12 +186,6 @@ class CubicBezierInterpolator(Interpolator):
         t = self._solve_t(x)
         return self._bezier(t, self.y1, self.y2)
 
-    def cache_key(self):
-        # FastOutSlowIn shares this key with an explicitly-constructed
-        # CubicBezierInterpolator(0.4, 0, 0.2, 1) on purpose: same control
-        # points, same solver, same bits.
-        return ("cubic-bezier", self.x1, self.y1, self.x2, self.y2)
-
 
 class FastOutSlowInInterpolator(CubicBezierInterpolator):
     """Android's ``FastOutSlowInInterpolator``: cubic Bezier (0.4, 0, 0.2, 1).
@@ -240,6 +211,3 @@ class AccelerateDecelerateInterpolator(Interpolator):
     def value(self, x: float) -> float:
         x = _clamp01(x)
         return math.cos((x + 1.0) * math.pi) / 2.0 + 0.5
-
-    def cache_key(self):
-        return ("accelerate-decelerate",)

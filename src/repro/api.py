@@ -4,7 +4,7 @@ Everything an external caller needs lives behind six entry points:
 
 * :func:`build_stack` — boot one simulated Android device;
 * :func:`run_experiment` — run one named experiment of the suite, from a
-  typed :class:`ExperimentRequest` or the legacy string form;
+  typed :class:`ExperimentRequest` or its name;
 * :func:`run_matrix` — run a declarative :class:`ScenarioMatrix` sweep
   with stack reuse;
 * :func:`run_campaign` — run a fleet-scale matrix as a sharded,
@@ -16,12 +16,6 @@ Everything an external caller needs lives behind six entry points:
 * :func:`run_all` / :func:`format_report` — the whole suite and its
   paper-vs-measured report.
 
-The historical per-module entry points (``repro.experiments.run_fig7``
-and friends) still work but emit :class:`DeprecationWarning`; they all
-route to the same implementations this module fronts. Likewise the
-loose-kwargs form of :func:`run_experiment` (extra ``**params``) warns
-and forwards to the :class:`ExperimentRequest` path.
-
 Metrics compose ambiently: wrap any of these calls in
 ``with repro.obs.use_metrics(registry):`` and the simulation's
 instruments feed ``registry`` without changing a single result byte.
@@ -32,7 +26,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, List, Optional, Union
 
-from ._deprecation import _warn_once
 from .experiments.campaign import (
     CampaignManifest,
     CampaignResult,
@@ -124,7 +117,6 @@ def run_experiment(
     faults: Optional[str] = None,
     jobs: int = 1,
     derive_seed: bool = True,
-    **params: Any,
 ) -> Any:
     """Run one named experiment and return its result dataclass.
 
@@ -136,11 +128,8 @@ def run_experiment(
     :class:`ExperimentRequest` together with any other argument is a
     :class:`TypeError`: the request already carries them all.
 
-    The legacy form takes the experiment name as a string with the same
-    keyword options spread alongside. It keeps working unchanged, except
-    that extra ``**params`` (the undocumented loose-kwargs path) emit a
-    once-per-process :class:`DeprecationWarning` pointing at
-    ``ExperimentRequest(params={...})``.
+    The string form takes the experiment name with the same keyword
+    options spread alongside; experiment params need the typed form.
 
     ``derive_seed=True`` (the default) reproduces exactly what
     ``run_all`` does for this experiment: the seed is derived from
@@ -148,9 +137,8 @@ def run_experiment(
     and the scale's fault regime plus a fresh stack-reuse executor are
     installed ambiently — so the result is bit-identical to the same
     experiment's slot in the full suite. ``derive_seed=False`` instead
-    calls the implementation directly with ``scale`` as given — the
-    historical behaviour of the per-module entry points, for callers that
-    pin their own seeds.
+    calls the implementation directly with ``scale`` as given, for
+    callers that pin their own seeds.
 
     ``jobs=1`` runs in-process. Any other value runs the experiment in a
     worker subprocess — one experiment never fans wider than one worker,
@@ -158,19 +146,14 @@ def run_experiment(
     """
     if isinstance(request, ExperimentRequest):
         if (scale is not QUICK or faults is not None or jobs != 1
-                or derive_seed is not True or params):
+                or derive_seed is not True):
             raise TypeError(
                 "pass scale/faults/jobs/derive_seed/params on the "
                 "ExperimentRequest itself, not alongside it")
         return _execute_request(request)
-    if params:
-        _warn_once(
-            "repro.api.run_experiment(**params)",
-            "loose keyword params to run_experiment are deprecated; pass "
-            "ExperimentRequest(name=..., params={...}) instead")
     return _execute_request(ExperimentRequest(
         name=request, scale=scale, faults=faults, jobs=jobs,
-        derive_seed=derive_seed, params=dict(params)))
+        derive_seed=derive_seed))
 
 
 def query_feasibility(

@@ -11,18 +11,11 @@
 * the analytical timing model (Eqs. 1–3) and the empirical Λ1-boundary
   finder behind Table II.
 
-The attack *classes* re-exported here are deprecated aliases: construct
-them via their concrete modules (``repro.attacks.overlay_attack`` etc.)
-or, better, through the actor registry
-(``repro.actors.get_attacker("draw-and-destroy")``), which owns
-permissioning and lifecycle. The aliases warn once per process and then
-behave identically — they are true subclasses of the real classes.
+The actor registry (``repro.actors.get_attacker("draw-and-destroy")``)
+adds permissioning and lifecycle on top of these classes.
 """
 
-from .._deprecation import deprecated_class
-from .clickjacking import ClickjackRecord
-from .clickjacking import ClickjackingAttack as _ClickjackingAttack
-from .clickjacking import ContentHidingAttack as _ContentHidingAttack
+from .clickjacking import ClickjackingAttack, ClickjackRecord, ContentHidingAttack
 from .device_probe import DeviceProber, MIN_USEFUL_WINDOW_MS, ProbeResult
 from .fake_keyboard import FakeKeyboard, FakeKeyboardFrame
 from .flooding import (
@@ -34,19 +27,19 @@ from .flooding import (
 from .key_inference import InferredKey, KeyInference, infer_offline, reconstruct_text
 from .overlay_attack import (
     CapturedTouch,
+    DrawAndDestroyOverlayAttack,
     MALWARE_PACKAGE,
     OverlayAttackConfig,
     OverlayAttackStats,
 )
-from .overlay_attack import DrawAndDestroyOverlayAttack as _DrawAndDestroyOverlayAttack
 from .password_stealing import (
     PASSWORD_MALWARE_PACKAGE,
     PasswordAttackResult,
     PasswordErrorType,
+    PasswordStealingAttack,
     PasswordStealingConfig,
     classify_password_attempt,
 )
-from .password_stealing import PasswordStealingAttack as _PasswordStealingAttack
 from .timing_channels import SideChannelConfig, UiStateSideChannel
 from .timing import (
     BoundarySearchResult,
@@ -59,39 +52,9 @@ from .timing import (
     upper_bound_d_for_profile,
 )
 from .toast_attack import (
+    DrawAndDestroyToastAttack,
     TOAST_MALWARE_PACKAGE,
     ToastAttackConfig,
-)
-from .toast_attack import DrawAndDestroyToastAttack as _DrawAndDestroyToastAttack
-
-DrawAndDestroyOverlayAttack = deprecated_class(
-    "repro.attacks.DrawAndDestroyOverlayAttack",
-    _DrawAndDestroyOverlayAttack,
-    "repro.attacks.overlay_attack.DrawAndDestroyOverlayAttack "
-    "(or repro.actors.get_attacker('draw-and-destroy'))",
-)
-DrawAndDestroyToastAttack = deprecated_class(
-    "repro.attacks.DrawAndDestroyToastAttack",
-    _DrawAndDestroyToastAttack,
-    "repro.attacks.toast_attack.DrawAndDestroyToastAttack "
-    "(or repro.actors.get_attacker('draw-and-destroy-toast'))",
-)
-PasswordStealingAttack = deprecated_class(
-    "repro.attacks.PasswordStealingAttack",
-    _PasswordStealingAttack,
-    "repro.attacks.password_stealing.PasswordStealingAttack "
-    "(or repro.actors.get_attacker('password-stealing'))",
-)
-ClickjackingAttack = deprecated_class(
-    "repro.attacks.ClickjackingAttack",
-    _ClickjackingAttack,
-    "repro.attacks.clickjacking.ClickjackingAttack "
-    "(or repro.actors.get_attacker('clickjacking'))",
-)
-ContentHidingAttack = deprecated_class(
-    "repro.attacks.ContentHidingAttack",
-    _ContentHidingAttack,
-    "repro.attacks.clickjacking.ContentHidingAttack",
 )
 
 __all__ = [

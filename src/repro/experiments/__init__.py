@@ -2,13 +2,11 @@
 scenario runners and scaling presets. See DESIGN.md for the experiment
 index and EXPERIMENTS.md for paper-vs-measured results."""
 
-from .animation_curves import Fig2Result, Fig4Result, run_fig2, run_fig4
+from .animation_curves import Fig2Result, Fig4Result
 from .capture_rate import (
     CaptureBoxStats,
     Fig7Result,
     Fig8Result,
-    run_fig7,
-    run_fig8,
 )
 from .config import (
     FIG7_DURATIONS,
@@ -78,45 +76,35 @@ from .resilience import (
     chaos,
     run_supervised,
 )
-from .corpus_study import CorpusStudyResult, run_corpus_study
+from .corpus_study import CorpusStudyResult
 from .equation_validation import (
     EquationValidationResult,
     EquationValidationRow,
-    run_equation_validation,
 )
 from .defense_tuning import (
     DefenseTuningResult,
     RuleOperatingPoint,
-    run_defense_tuning,
 )
 from .defense_eval import (
     IpcDefenseResult,
     NotificationDefenseResult,
     ToastDefenseResult,
-    run_ipc_defense,
-    run_notification_defense,
-    run_toast_defense,
 )
 from .noise_sensitivity import (
     NoisePoint,
     NoiseSensitivityResult,
-    run_noise_sensitivity,
 )
-from .outcomes_vs_d import Fig6Result, run_fig6
+from .outcomes_vs_d import Fig6Result
 from .password_study import (
     StealthinessResult,
     Table3Result,
     Table3Row,
-    run_stealthiness,
-    run_table3,
 )
-from .real_world_apps import Table4Result, Table4Row, run_table4
+from .real_world_apps import Table4Result, Table4Row
 from .runner import AllResults, format_report, run_all
 from .supplementary import (
     Fig7WithCisResult,
     Table3ByVersionResult,
-    run_fig7_with_cis,
-    run_table3_by_version,
 )
 from .scenarios import (
     CaptureTrialResult,
@@ -144,12 +132,10 @@ from .families import (
 from .trigger_comparison import (
     TriggerComparisonResult,
     TriggerTrialResult,
-    run_trigger_comparison,
 )
 from .toast_continuity import (
     ToastContinuityResult,
     compare_toast_durations,
-    run_toast_continuity,
 )
 from .whatif import (
     AnaRemovalResult,
@@ -161,8 +147,6 @@ from .whatif import (
 from .upper_bound import (
     LoadImpactResult,
     Table2Result,
-    run_load_impact,
-    run_table2,
 )
 
 __all__ = [
@@ -242,7 +226,6 @@ __all__ = [
     "NoisePoint",
     "NoiseSensitivityResult",
     "NotificationDefenseResult",
-    "run_noise_sensitivity",
     "PasswordTrialResult",
     "QUICK",
     "SMOKE",
@@ -263,28 +246,8 @@ __all__ = [
     "run_all",
     "run_ana_removal_whatif",
     "run_capture_trial",
-    "run_corpus_study",
-    "run_defense_tuning",
-    "run_equation_validation",
-    "run_fig2",
-    "run_fig4",
-    "run_fig6",
-    "run_fig7",
-    "run_fig7_with_cis",
-    "run_fig8",
-    "run_table3_by_version",
-    "run_ipc_defense",
-    "run_load_impact",
-    "run_notification_defense",
     "run_notification_trial",
     "run_password_trial",
-    "run_stealthiness",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_toast_continuity",
-    "run_toast_defense",
-    "run_trigger_comparison",
     "AgentTrialResult",
     "FamilyResult",
     "FloodingTrialResult",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..animation.animator import (
     ANIMATION_DURATION_STANDARD,
     DEFAULT_REFRESH_INTERVAL,
@@ -118,10 +117,3 @@ def _run_fig4(step_ms: float = 2.0) -> Fig4Result:
             "decelerate", DecelerateInterpolator(), TOAST_ANIMATION_DURATION, step_ms
         ),
     )
-
-
-run_fig2 = deprecated_entry_point(
-    "run_fig2", _run_fig2, "repro.api.run_experiment('fig2', ...)")
-
-run_fig4 = deprecated_entry_point(
-    "run_fig4", _run_fig4, "repro.api.run_experiment('fig4', ...)")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..sim.rng import SeededRng
 from ..users.participant import Participant, generate_participants
 from .config import FIG7_DURATIONS, FIG7_PAPER_MEANS, ExperimentScale, QUICK
@@ -159,10 +158,3 @@ def _run_fig8(
                 series.append(sum(rates) / len(rates))
             by_version[version] = tuple(series)
     return Fig8Result(durations=tuple(durations), by_version=by_version)
-
-
-run_fig7 = deprecated_entry_point(
-    "run_fig7", _run_fig7, "repro.api.run_experiment('fig7', ...)")
-
-run_fig8 = deprecated_entry_point(
-    "run_fig8", _run_fig8, "repro.api.run_experiment('fig8', ...)")

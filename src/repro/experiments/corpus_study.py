@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..staticanalysis.corpus import PAPER_CORPUS_SIZE, SyntheticCorpus
 from ..staticanalysis.report import PrevalenceCounts, run_prevalence_study
 from .config import ExperimentScale, QUICK
@@ -46,7 +45,3 @@ def _run_corpus_study(scale: ExperimentScale = QUICK) -> CorpusStudyResult:
         scaled_to_paper=measured.scaled_to(PAPER_CORPUS_SIZE),
         paper=PrevalenceCounts.paper_reference(),
     )
-
-
-run_corpus_study = deprecated_entry_point(
-    "run_corpus_study", _run_corpus_study, "repro.api.run_experiment('corpus', ...)")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..devices.profiles import DeviceProfile
 from ..devices.registry import reference_device
 from ..systemui.outcomes import NotificationOutcome
@@ -85,7 +84,3 @@ def _run_fig6(
         published_upper_bound_d=profile.published_upper_bound_d,
         outcomes=outcomes,
     )
-
-
-run_fig6 = deprecated_entry_point(
-    "run_fig6", _run_fig6, "repro.api.run_experiment('fig6', ...)")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..apps.catalog import TABLE_IV_APPS, VictimAppSpec
 from ..sim.rng import SeededRng
 from ..users.participant import generate_participants
@@ -88,7 +87,3 @@ def _run_table4(
                 )
             )
     return Table4Result(rows=tuple(rows))
-
-
-run_table4 = deprecated_entry_point(
-    "run_table4", _run_table4, "repro.api.run_experiment('table4', ...)")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..apps.accessibility import AccessibilityBus
 from ..apps.catalog import VictimAppSpec, bank_of_america, spec_by_name
 from ..apps.ime import RealKeyboard
@@ -153,7 +152,3 @@ def _run_trigger_comparison(
                 seed = scale.seed + channel_index * 101 + victim_index * 13
                 trials.append(_run_one(channel, victim_spec, seed, password))
     return TriggerComparisonResult(trials=tuple(trials))
-
-
-run_trigger_comparison = deprecated_entry_point(
-    "run_trigger_comparison", _run_trigger_comparison, "repro.api.run_experiment('trigger_comparison', ...)")

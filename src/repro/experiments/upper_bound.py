@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..attacks.timing import BoundarySearchResult, UpperBoundFinder
 from ..devices.profiles import DeviceProfile
 from ..devices.registry import DEVICES, device
@@ -111,10 +110,3 @@ def _run_load_impact(
             result = finder.find(loaded)
             bounds.append((count, result.measured_upper_bound_d))
     return LoadImpactResult(device_key=base.key, bounds_by_load=tuple(bounds))
-
-
-run_table2 = deprecated_entry_point(
-    "run_table2", _run_table2, "repro.api.run_experiment('table2', ...)")
-
-run_load_impact = deprecated_entry_point(
-    "run_load_impact", _run_load_impact, "repro.api.run_experiment('load_impact', ...)")

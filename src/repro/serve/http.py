@@ -51,7 +51,10 @@ async def _read_request(
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    try:
+        length = int(headers.get("content-length", "0") or 0)
+    except ValueError:
+        return None
     if length < 0 or length > _MAX_BODY:
         return None
     body = await reader.readexactly(length) if length else b""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -84,6 +85,10 @@ class FeasibilityQuery(SerializableMixin):
             known = ", ".join(sorted(PROFILES))
             raise ValueError(
                 f"unknown fault profile {self.faults!r}; known: {known}")
+        for name in ("d_min_ms", "d_max_ms", "d_step_ms", "trial_duration_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d_min_ms <= 0 or self.d_max_ms < self.d_min_ms:
             raise ValueError(
                 f"need 0 < d_min_ms <= d_max_ms, got "

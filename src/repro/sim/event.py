@@ -1,14 +1,13 @@
 """Scheduled events and their cancellation handles.
 
-Event objects are pooled by the scheduler when kernels are enabled (see
-:mod:`repro.sim.framecache`): a dispatched or discarded ``Event`` is
-recycled for a future ``schedule_at`` instead of being garbage. Recycling
-is made safe by a **generation counter** — every release bumps
-``Event.generation``, and an :class:`EventHandle` only touches its event
-while the generation it captured at creation still matches. A stale
-handle (to an event that was dispatched, reset away, or recycled) is
+Event objects are pooled by the scheduler: a dispatched or discarded
+``Event`` is recycled for a future ``schedule_at`` instead of being
+garbage. Recycling is made safe by a **generation counter** — every
+release bumps ``Event.generation``, and an :class:`EventHandle` only
+touches its event while the generation it captured at creation still
+matches. A stale handle (to an event that was dispatched, reset away, or recycled) is
 inert: it keeps answering from its own snapshot and never corrupts the
-recycled event. Handles behave identically whether pooling is on or off.
+recycled event.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .framecache import FaultFrameVectors, kernels_enabled
 from .rng import SeededRng
 
 #: Display refresh interval assumed by the query-side frame-staleness
@@ -267,17 +266,6 @@ class FaultPlan:
         self._gc_horizon = 0.0
         #: Events deferred out of a GC pause (introspection/testing).
         self.events_deferred_by_gc = 0
-        # Batched frame-fault rows (kernel fast path). Only built when the
-        # profile actually has frame faults: a no-op (or frame-quiet)
-        # profile must skip the machinery entirely, and `render_time`'s
-        # identity early-return already bypasses it. Rows are derived *by*
-        # `_frame_faults_at`, so they are bit-identical to scalar queries.
-        if kernels_enabled() and (fault_profile.frame_jitter_ms > 0.0
-                                  or fault_profile.frame_drop_probability > 0.0):
-            self._frame_vectors: Optional[FaultFrameVectors] = \
-                FaultFrameVectors(self._frame_faults_at)
-        else:
-            self._frame_vectors = None
 
     @property
     def is_noop(self) -> bool:
@@ -338,25 +326,16 @@ class FaultPlan:
                 and self.profile.frame_drop_probability == 0.0):
             return time_ms
         index = int(time_ms // _RENDER_FRAME_MS)
-        faults_at = (self._frame_vectors.get if self._frame_vectors is not None
-                     else self._frame_faults_at)
-        delay, _ = faults_at(index)
+        delay, _ = self._frame_faults_at(index)
         staleness = delay
         for back in range(1, _MAX_CONSECUTIVE_DROPPED_FRAMES + 1):
             if index - back < 0:
                 break
-            _, dropped = faults_at(index - back)
+            _, dropped = self._frame_faults_at(index - back)
             if not dropped:
                 break
             staleness += _RENDER_FRAME_MS
         return max(0.0, time_ms - staleness)
-
-    @property
-    def frame_fault_rows_materialized(self) -> int:
-        """Batched frame-fault rows computed so far (0 on the scalar path)."""
-        if self._frame_vectors is None:
-            return 0
-        return self._frame_vectors.materialized_frames
 
     # ------------------------------------------------------------------
     # (b) scheduler dispatch latency + (d) GC pauses

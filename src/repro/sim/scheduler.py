@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from .clock import Clock
 from .errors import SchedulingError
 from .event import Callback, Event, EventHandle, noop
-from .framecache import kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
@@ -42,13 +41,10 @@ class EventScheduler:
     kernel invariant survives: the clock is monotone, no event is lost,
     and dispatch order is non-decreasing in time.
 
-    When kernels are enabled (no ``REPRO_NO_KERNELS``), dispatched and
-    discarded :class:`Event` objects are recycled through a free list
-    instead of being re-allocated per schedule. Recycling is invisible to
-    callers: handles snapshot their metadata and go inert the moment their
-    event's generation is bumped (see :mod:`repro.sim.event`), and the
-    regression suite pins identical dispatch traces and counter accounting
-    with pooling on and off.
+    Dispatched and discarded :class:`Event` objects are recycled through a
+    free list instead of being re-allocated per schedule. Recycling is
+    invisible to callers: handles snapshot their metadata and go inert the
+    moment their event's generation is bumped (see :mod:`repro.sim.event`).
     """
 
     def __init__(self, clock: Clock,
@@ -60,8 +56,7 @@ class EventScheduler:
         self._pending = 0
         self._cancelled = 0
         self._perturb: Optional[TimePerturbation] = None
-        # Event pooling — snapshot of the kernel switch at construction.
-        self._pooling = kernels_enabled()
+        # Free list of recycled events (see `_release`).
         self._pool: List[Event] = []
         # Instruments are resolved once here; every hot-path guard below is
         # a single `is not None`. Metrics only *observe* (no clock, RNG or
@@ -120,7 +115,7 @@ class EventScheduler:
 
     @property
     def pooled_event_count(self) -> int:
-        """Events currently parked on the free list (0 with pooling off)."""
+        """Events currently parked on the free list."""
         return len(self._pool)
 
     def install_perturbation(self, perturb: Optional[TimePerturbation]) -> None:
@@ -281,13 +276,10 @@ class EventScheduler:
     def _release(self, event: Event) -> None:
         """Retire an event that has left the queue.
 
-        With pooling on, the generation bump makes every outstanding
-        handle to this incarnation inert, after which the object is safe
-        to hand to a future ``schedule_at``. With pooling off this is a
-        no-op — the object is garbage, exactly the legacy behaviour.
+        The generation bump makes every outstanding handle to this
+        incarnation inert, after which the object is safe to hand to a
+        future ``schedule_at``.
         """
-        if not self._pooling:
-            return
         event.generation += 1
         event.callback = noop  # drop the closure reference, keep slot typed
         event.on_cancel = None

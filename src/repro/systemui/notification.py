@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..animation.animator import ANIMATION_DURATION_STANDARD, rendered_pixels
 from ..animation.interpolators import FastOutSlowInInterpolator, Interpolator
-from ..animation.kernels import frame_table
 from .outcomes import NotificationOutcome, NotificationSnapshot, classify
 
 #: Delay between the view completing and the message text starting to
@@ -44,20 +43,6 @@ class NotificationEntry:
     interpolator: Interpolator = field(default=_SHARED_INTERPOLATOR)
     removed_at: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        # Kernel fast path: one memoized per-frame table shared by every
-        # entry with the same (curve, duration, refresh, height). The
-        # analytic timeline quantizes queries to frame indices, and a
-        # table row's completeness is built by the exact float expression
-        # `progress_at` would evaluate — byte-identical by construction.
-        # None when kernels are off or the interpolator is uncacheable.
-        self._table = frame_table(
-            self.interpolator,
-            self.duration_ms,
-            self.refresh_interval_ms,
-            self.view_height_px,
-        )
-
     # ------------------------------------------------------------------
     # Analytic rendering timeline
     # ------------------------------------------------------------------
@@ -71,8 +56,6 @@ class NotificationEntry:
         if elapsed < self.refresh_interval_ms:
             return 0.0
         frames = math.floor(elapsed / self.refresh_interval_ms)
-        if self._table is not None:
-            return self._table.completeness_at_frame(frames)
         frame_time = min(frames * self.refresh_interval_ms, self.duration_ms)
         return self.interpolator.value(frame_time / self.duration_ms)
 
@@ -80,9 +63,6 @@ class NotificationEntry:
         elapsed = time - self.anim_start
         if elapsed < self.refresh_interval_ms:
             return 0
-        if self._table is not None:
-            frames = math.floor(elapsed / self.refresh_interval_ms)
-            return self._table.pixels_at_frame(frames)
         return rendered_pixels(self.progress_at(time), self.view_height_px)
 
     @property

@@ -2,7 +2,14 @@
 
 import pytest
 
+import repro.attacks as attacks
 from repro.actors import attacker_names, get_attacker
+from repro.attacks import (
+    clickjacking,
+    overlay_attack,
+    password_stealing,
+    toast_attack,
+)
 from repro.attacks.flooding import NotificationFloodingAttack
 from repro.attacks.overlay_attack import DrawAndDestroyOverlayAttack
 from repro.stack import build_stack
@@ -17,6 +24,16 @@ def test_registry_holds_the_five_attack_families():
         "notification-flooding",
         "password-stealing",
     ]
+    # The package-level names are the concrete classes, not aliases.
+    assert (attacks.DrawAndDestroyOverlayAttack
+            is overlay_attack.DrawAndDestroyOverlayAttack)
+    assert (attacks.DrawAndDestroyToastAttack
+            is toast_attack.DrawAndDestroyToastAttack)
+    assert (attacks.PasswordStealingAttack
+            is password_stealing.PasswordStealingAttack)
+    assert attacks.ClickjackingAttack is clickjacking.ClickjackingAttack
+    assert attacks.ContentHidingAttack is clickjacking.ContentHidingAttack
+    assert attacks.NotificationFloodingAttack is NotificationFloodingAttack
 
 
 def test_models_carry_their_registry_label():

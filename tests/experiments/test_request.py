@@ -4,16 +4,8 @@ import warnings
 
 import pytest
 
-from repro._deprecation import reset_deprecation_warnings
 from repro.api import run_experiment
 from repro.experiments import SMOKE, ExperimentRequest
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestValidation:
@@ -58,16 +50,9 @@ class TestFacade:
             run_experiment(request, scale=SMOKE)
         with pytest.raises(TypeError, match="not alongside it"):
             run_experiment(request, derive_seed=False)
-
-    def test_loose_params_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning,
-                          match="loose keyword params"):
-            loose = run_experiment("fig6", scale=SMOKE, derive_seed=False,
-                                   trial_ms=2500.0)
-        typed = run_experiment(ExperimentRequest(
-            name="fig6", scale=SMOKE, derive_seed=False,
-            params={"trial_ms": 2500.0}))
-        assert loose == typed
+        # Experiment params only travel on the typed request.
+        with pytest.raises(TypeError):
+            run_experiment("fig6", scale=SMOKE, trial_ms=2500.0)
 
     def test_scale_only_legacy_form_stays_warning_free(self):
         with warnings.catch_warnings():

@@ -97,6 +97,12 @@ class TestValidation:
         {"trial_duration_ms": -1.0},
         {"probe_chars": -1},
         {"probe_trials": -2},
+        # Non-finite floats: an infinite bound never ends the D grid and a
+        # NaN bound silently empties it.
+        {"d_max_ms": float("inf")},
+        {"d_min_ms": float("nan")},
+        {"d_step_ms": float("nan")},
+        {"trial_duration_ms": float("inf")},
     ])
     def test_bad_numerics_rejected(self, overrides):
         with pytest.raises(ValueError):

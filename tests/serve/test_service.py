@@ -205,6 +205,37 @@ class TestHttpFront:
 
         assert missing.startswith(b"HTTP/1.1 404")
 
+    def test_malformed_length_and_non_finite_query_are_400(self):
+        """Both are refused before the service is consulted, so an
+        unstarted service suffices."""
+        service = FeasibilityService(ServeConfig(workers=1))
+
+        async def body():
+            server = await start_http_server(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                bad_length = await _http(port, (
+                    b"POST /query HTTP/1.1\r\n"
+                    b"Content-Length: abc\r\n\r\n{}"))
+                replies = []
+                for payload in (b'{"device":"pixel 2","d_max_ms":Infinity}',
+                                b'{"device":"pixel 2","d_min_ms":NaN}'):
+                    replies.append(await _http(port, (
+                        b"POST /query HTTP/1.1\r\n"
+                        + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                        + payload)))
+            finally:
+                server.close()
+                await server.wait_closed()
+            return bad_length, replies
+
+        bad_length, replies = asyncio.run(body())
+        assert bad_length.startswith(b"HTTP/1.1 400")
+        assert json.loads(_body(bad_length)) == {"error": "malformed request"}
+        for reply in replies:
+            assert reply.startswith(b"HTTP/1.1 400")
+            assert "must be finite" in json.loads(_body(reply))["error"]
+
 
 class TestLifecycle:
     def test_submit_before_start_is_an_error(self):

@@ -1,14 +1,11 @@
-"""Regression suite pinning Event pool reuse to legacy semantics.
+"""Regression suite for the scheduler's Event pool.
 
-The scheduler recycles ``Event`` objects when kernels are enabled (see
-``EventScheduler._release``). These tests run identical seeded
-cancel/reschedule storms on a pooling scheduler and a scalar
-(``REPRO_NO_KERNELS=1``) scheduler and assert the observable world —
-dispatch traces, ``pending_count`` / ``cancelled_count`` /
-``dispatched_count`` / ``scheduled_count`` accounting — is identical,
-plus the generation-counter guarantees that make recycling safe: a stale
-handle answers from its snapshot and can never cancel the unrelated event
-now living in its old ``Event`` object.
+The scheduler recycles ``Event`` objects (see ``EventScheduler._release``).
+These tests run seeded cancel/reschedule storms and pin the counter
+accounting (``scheduled == dispatched + cancelled + pending``), plus the
+generation-counter guarantees that make recycling safe: a stale handle
+answers from its snapshot and can never cancel the unrelated event now
+living in its old ``Event`` object.
 """
 
 from __future__ import annotations
@@ -19,20 +16,9 @@ import pytest
 
 from repro.sim.clock import Clock
 from repro.sim.errors import EventCancelledError
-from repro.sim.framecache import NO_KERNELS_ENV
 from repro.sim.scheduler import EventScheduler
 
 SEEDS = [11, 4242, 20260808]
-
-
-def _make_scheduler(monkeypatch, pooling: bool) -> EventScheduler:
-    if pooling:
-        monkeypatch.delenv(NO_KERNELS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(NO_KERNELS_ENV, "1")
-    scheduler = EventScheduler(Clock())
-    assert scheduler._pooling is pooling
-    return scheduler
 
 
 def _storm(scheduler: EventScheduler, seed: int):
@@ -83,24 +69,19 @@ def _storm(scheduler: EventScheduler, seed: int):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_storm_identical_with_pooling_on_and_off(monkeypatch, seed):
-    pooled = _storm(_make_scheduler(monkeypatch, pooling=True), seed)
-    scalar = _storm(_make_scheduler(monkeypatch, pooling=False), seed)
-    assert pooled[0] == scalar[0]  # dispatch traces
-    assert pooled[1] == scalar[1]  # counter accounting
-    assert pooled[2] == scalar[2]  # cancel_if_pending outcomes
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_accounting_invariant_holds_under_storm(monkeypatch, seed):
-    scheduler = _make_scheduler(monkeypatch, pooling=True)
-    _, (scheduled, dispatched, cancelled, pending), _ = _storm(scheduler, seed)
+def test_accounting_invariant_holds_under_storm(seed):
+    trace, (scheduled, dispatched, cancelled, pending), cancels = _storm(
+        EventScheduler(Clock()), seed)
     assert scheduled == dispatched + cancelled + pending
     assert pending == 0  # run_to_completion drained the queue
+    assert len(trace) == dispatched
+    assert [t for t, _ in trace] == sorted(t for t, _ in trace)
+    # A second cancel of the same handle never performs a cancellation.
+    assert not any(cancels[1::2])
 
 
-def test_pool_actually_recycles(monkeypatch):
-    scheduler = _make_scheduler(monkeypatch, pooling=True)
+def test_pool_actually_recycles():
+    scheduler = EventScheduler(Clock())
     fired = []
     for i in range(10):
         scheduler.schedule_at(float(i), lambda i=i: fired.append(i))
@@ -108,15 +89,9 @@ def test_pool_actually_recycles(monkeypatch):
     assert fired == list(range(10))
     assert scheduler.pooled_event_count > 0
 
-    scalar = _make_scheduler(monkeypatch, pooling=False)
-    for i in range(10):
-        scalar.schedule_at(float(i), lambda: None)
-    scalar.run_to_completion()
-    assert scalar.pooled_event_count == 0
 
-
-def test_stale_handle_is_inert_after_recycling(monkeypatch):
-    scheduler = _make_scheduler(monkeypatch, pooling=True)
+def test_stale_handle_is_inert_after_recycling():
+    scheduler = EventScheduler(Clock())
     first = scheduler.schedule_at(1.0, lambda: None, name="first")
     scheduler.run_to_completion()
     # The pooled object is reused for the next schedule...
@@ -135,8 +110,8 @@ def test_stale_handle_is_inert_after_recycling(monkeypatch):
     assert scheduler.dispatched_count == 2
 
 
-def test_reset_inerts_pending_handles_and_keeps_pool(monkeypatch):
-    scheduler = _make_scheduler(monkeypatch, pooling=True)
+def test_reset_inerts_pending_handles_and_keeps_pool():
+    scheduler = EventScheduler(Clock())
     scheduler.schedule_at(1.0, lambda: None)
     scheduler.run_to_completion()
     pooled_before = scheduler.pooled_event_count
@@ -150,8 +125,8 @@ def test_reset_inerts_pending_handles_and_keeps_pool(monkeypatch):
     assert scheduler.cancelled_count == 0
 
 
-def test_cancelled_heap_entries_are_recycled(monkeypatch):
-    scheduler = _make_scheduler(monkeypatch, pooling=True)
+def test_cancelled_heap_entries_are_recycled():
+    scheduler = EventScheduler(Clock())
     handles = [scheduler.schedule_at(float(i), lambda: None) for i in range(5)]
     for handle in handles:
         handle.cancel()

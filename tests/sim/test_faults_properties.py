@@ -16,6 +16,8 @@ Plus unit coverage of :mod:`repro.sim.faults` itself and the regression
 pin for :meth:`TraceLog.record` notifying subscribers while disabled.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.uncovered_time import measure_overlay_coverage
@@ -325,6 +327,34 @@ class TestFaultPlan:
         for t in range(0, 2000, 7):
             displayed = plan.render_time(float(t))
             assert 0.0 <= displayed <= float(t)
+
+    #: Display times spanning a few hundred frames, queried out of order.
+    RENDER_TIMES = [float(t) for t in range(0, 4000, 13)] + [35.0, 9.99, 0.0]
+
+    @pytest.mark.parametrize("perturbation", [
+        {"binder_jitter_ms": 9.0},
+        {"binder_drop_probability": 0.5},
+        {"dispatch_jitter_ms": 7.0},
+        {"gc_period_ms": 300.0, "gc_pause_ms": 50.0},
+        # Frame faults always draw uniform jitter, so even the latency
+        # shape of dispatch/Binder must leave them untouched.
+        {"distribution": "uniform"},
+    ])
+    def test_other_faults_keep_render_time(self, perturbation):
+        """Per-class sub-stream independence: only frame knobs may move
+        what the compositor shows."""
+        base = FaultPlan(PIXEL_LOADED, SeededRng(1234, "faults"))
+        perturbed = FaultPlan(replace(PIXEL_LOADED, **perturbation),
+                              SeededRng(1234, "faults"))
+        assert ([base.render_time(t) for t in self.RENDER_TIMES]
+                == [perturbed.render_time(t) for t in self.RENDER_TIMES])
+
+    def test_frame_knobs_do_shift_render_time(self):
+        base = FaultPlan(PIXEL_LOADED, SeededRng(1234, "faults"))
+        shifted = FaultPlan(replace(PIXEL_LOADED, frame_jitter_ms=9.0),
+                            SeededRng(1234, "faults"))
+        assert ([base.render_time(t) for t in self.RENDER_TIMES]
+                != [shifted.render_time(t) for t in self.RENDER_TIMES])
 
     def test_drop_frame_respects_probability_extremes(self):
         never = make_plan(frame_jitter_ms=1.0)
