@@ -226,11 +226,7 @@ def _run_shard(
 
 
 def _check_shard_payload(payload) -> None:
-    """Reject worker payloads the supervisor must not accept as results."""
-    if isinstance(payload, PoisonedResult):
-        raise ResultIntegrityError(
-            f"worker returned a poisoned result for {payload.name!r} "
-            f"(attempt {payload.attempt})")
+    """Reject a worker payload that is not a shard digest."""
     if not isinstance(payload, ShardOutcome):
         raise ResultIntegrityError(
             f"worker returned {type(payload).__name__}, not a ShardOutcome")

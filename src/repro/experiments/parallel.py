@@ -70,7 +70,6 @@ from .resilience import (
     CacheIntegrityError,
     ExperimentFailure,
     PoisonedResult,
-    ResultIntegrityError,
     RunJournal,
     RunPolicy,
     SupervisedTask,
@@ -290,7 +289,8 @@ def _execute_one(
     ``attempt`` numbers the supervision retry (1-based). It is consulted
     *only* by the chaos harness — the experiment's seed derivation never
     sees it, which is what makes a crash-then-retry run bit-identical to
-    a clean one.
+    a clean one. A ``poison`` fault point returns a bare
+    :class:`PoisonedResult` instead, for the supervisor to reject.
 
     Each experiment gets its own :class:`TrialExecutor` installed
     ambiently, so its trial loops share one pool of reusable stacks
@@ -307,8 +307,7 @@ def _execute_one(
     from .engine import TrialExecutor, use_executor
 
     if chaos_fire(name, attempt) == "poison":
-        return name, PoisonedResult(name=name, attempt=attempt), 0.0, None, \
-            os.getpid()
+        return PoisonedResult(name=name, attempt=attempt)
 
     spec = _SPECS[name]
     reset_id_allocators()
@@ -330,15 +329,6 @@ def _execute_one(
     seconds = time.perf_counter() - start
     samples = registry.samples() if registry is not None else None
     return name, result, seconds, samples, os.getpid()
-
-
-def _check_payload(payload) -> None:
-    """Reject worker payloads the supervisor must not accept as results."""
-    _, result, _, _, _ = payload
-    if isinstance(result, PoisonedResult):
-        raise ResultIntegrityError(
-            f"worker returned a poisoned result for {result.name!r} "
-            f"(attempt {result.attempt})")
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +543,6 @@ def run_experiments(
         on_success=lambda task, payload, attempt, seconds:
             record_run(*payload, attempts=attempt),
         on_failure=record_failure,
-        check=_check_payload,
     )
 
     failures = tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS

@@ -27,12 +27,15 @@ failure the paper exploits inside Android's UI pipeline:
   that crash, hang, kill or poison specific ``(experiment, attempt)``
   pairs, mirroring the deterministic style of :mod:`repro.sim.faults`
   one layer up: the fault *injection* is configuration, never chance;
-* the **generic supervised runner** (:func:`run_supervised`) — the
-  retry/deadline/broken-pool state machine itself, factored out of the
-  experiment runner so any unit of work (an experiment, a campaign
-  shard) can be fanned out under the same policy semantics. The
-  experiment suite (:mod:`repro.experiments.parallel`) and the campaign
-  layer (:mod:`repro.experiments.campaign`) are both thin clients.
+* the **supervisor** (:class:`Supervisor`) — the one retry, backoff,
+  failure-record and poison-rejection policy, and the **generic
+  supervised runner** (:func:`run_supervised`) that drives it over a
+  serial loop or a process pool. Every unit of work runs under the same
+  policy semantics: the experiment suite
+  (:mod:`repro.experiments.parallel`) and the campaign layer
+  (:mod:`repro.experiments.campaign`) go through ``run_supervised``;
+  the query service (:mod:`repro.serve.service`) keeps its own asyncio
+  transport and drives one :class:`Supervisor` per job.
 
 Nothing here touches experiment code or random streams: supervision
 observes and schedules, so a run with the default policy and no faults
@@ -72,7 +75,7 @@ from typing import (
 
 from ..serialization import SerializableMixin
 from ..storage.faults import chaos_spec_text
-from ..storage.store import DurableStore, atomic_write_bytes
+from ..storage.store import DurableStore
 from .config import ExperimentScale
 
 # ---------------------------------------------------------------------------
@@ -218,8 +221,6 @@ class ExperimentFailure(SerializableMixin):
 
 def classify_failure(exc: BaseException) -> str:
     """Map an exception to an :class:`ExperimentFailure` ``kind``."""
-    from concurrent.futures.process import BrokenProcessPool
-
     if isinstance(exc, DeadlineExceeded):
         return "deadline"
     if isinstance(exc, ResultIntegrityError):
@@ -296,12 +297,6 @@ def decode_envelope(version: int, data: bytes) -> object:
     except Exception as exc:
         raise CacheIntegrityError(
             f"checksummed payload failed to unpickle: {exc!r}") from exc
-
-
-# ``atomic_write_bytes`` lived here through PR 9; it is now the raw
-# primitive of :mod:`repro.storage.store` (imported above and still
-# re-exported from this module), where the :class:`DurableStore`
-# surfaces wrap it with fault injection and degradation policy.
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +476,8 @@ _DEFAULT_HANG_SECONDS = 5.0
 class PoisonedResult:
     """Sentinel a ``poison`` fault point returns in place of a result.
 
-    Pickles fine — the *supervisor* must be the layer that rejects it,
-    which is exactly what the chaos tests assert.
+    Pickles fine — :meth:`Supervisor.accept` is the one place that
+    rejects it, which is exactly what the chaos tests assert.
     """
 
     name: str
@@ -599,7 +594,10 @@ class SupervisedTask:
 
 
 class Supervisor:
-    """Retry/failure bookkeeping shared by the serial and pool paths.
+    """Retry, backoff, failure and poison policy for supervised work.
+
+    Shared by :func:`run_supervised`'s serial and pool paths and by the
+    query service's job loop, which supplies only its own transport.
 
     ``seed`` anchors the deterministic backoff jitter — callers pass
     their scale's base seed so two runs of the same configuration replay
@@ -632,14 +630,28 @@ class Supervisor:
         return False
 
     def backoff(self, name: str, attempt: int) -> float:
+        """Delay before retrying ``name`` after its failed ``attempt``."""
         return self.policy.backoff_seconds(self.seed, name, attempt)
+
+    def accept(self, name: str, value: Any) -> Any:
+        """Pass ``value`` through, or reject a :class:`PoisonedResult`.
+
+        Raises :class:`ResultIntegrityError`, which the caller settles
+        through :meth:`handle` like any other failed attempt.
+        """
+        if isinstance(value, PoisonedResult):
+            raise ResultIntegrityError(
+                f"worker returned a poisoned result for {name!r} "
+                f"(attempt {value.attempt})")
+        return value
 
 
 #: ``on_success(task, value, attempt, seconds)`` for one completed task.
 SuccessCallback = Callable[[SupervisedTask, Any, int, float], None]
 #: ``on_failure(failure)`` for one permanently failed task.
 FailureCallback = Callable[[ExperimentFailure], None]
-#: ``check(value)`` raises to reject a payload before it counts as done.
+#: ``check(value)`` raises to reject a payload before it counts as done
+#: (poisoned payloads are already rejected by :meth:`Supervisor.accept`).
 CheckCallback = Callable[[Any], None]
 
 
@@ -691,7 +703,7 @@ def _run_serial_tasks(
         while True:
             start = time.perf_counter()
             try:
-                value = task.run(attempt)
+                value = supervisor.accept(task.name, task.run(attempt))
                 if check is not None:
                     check(value)
                 elapsed = time.perf_counter() - start
@@ -851,7 +863,7 @@ def _run_pool_tasks(
                 if flight is None:
                     continue
                 try:
-                    value = future.result()
+                    value = supervisor.accept(flight.name, future.result())
                     if check is not None:
                         check(value)
                     on_success(by_name[flight.name], value, flight.attempt,

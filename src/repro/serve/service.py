@@ -26,13 +26,17 @@ shed requests admit one half-open probe, and the probe's outcome closes
 or re-opens it. :meth:`FeasibilityService.drain` is the graceful-SIGTERM
 half: stop accepting, finish in-flight jobs, flush the disk cache.
 
-Execution is supervised with the PR-5 machinery: a
-:class:`~repro.experiments.resilience.RunPolicy` governs retries with
-reproducible backoff and per-job deadlines; a crashed worker (or the
-whole pool breaking) costs only that job's attempt — the pool is
-rebuilt and the job degrades to a structured
-:class:`~repro.experiments.resilience.ExperimentFailure` on the
-response instead of killing the service. Every stage feeds the
+Each job runs under its own
+:class:`~repro.experiments.resilience.Supervisor`, the one supervision
+model the experiment suite and campaigns use too: under the
+:class:`~repro.experiments.resilience.RunPolicy` it decides retry or
+fail, spaces retries with its reproducible backoff, rejects poisoned
+payloads and builds the structured
+:class:`~repro.experiments.resilience.ExperimentFailure` a failed query
+is answered with. The service keeps only its transport: the hop to a
+pool worker, the per-attempt deadline, and the pool rebuild that
+reclaims a hung or dead worker — a failure costs that job's attempt,
+never the service. Every stage feeds the
 :class:`~repro.obs.metrics.MetricsRegistry` exposed at ``/metrics``.
 """
 
@@ -51,11 +55,9 @@ from typing import Dict, List, Optional
 from ..experiments.resilience import (
     DEFAULT_POLICY,
     DeadlineExceeded,
-    PoisonedResult,
-    ResultIntegrityError,
     RunPolicy,
+    Supervisor,
     _terminate_pool,
-    make_failure,
 )
 from ..obs.metrics import MetricsRegistry
 from ..storage.store import FS_FAULTS_METRIC, FS_WRITE_ERRORS_METRIC
@@ -101,11 +103,18 @@ class ServeConfig:
     #: Directory for the persistent query cache; ``None`` = memory-only.
     cache_dir: Optional[Path] = None
     #: Retry/deadline/backoff policy per job (default: one attempt).
+    #: ``fail_fast`` is refused: a service has no run to abort.
     policy: RunPolicy = DEFAULT_POLICY
     #: Circuit-breaker thresholds fronting the worker pool.
     breaker: BreakerConfig = BreakerConfig()
     #: ``Retry-After`` value (seconds) attached to shed responses.
     retry_after_seconds: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.policy.fail_fast:
+            raise ValueError(
+                "fail_fast is not a serve policy: a failed query is "
+                "answered with its failure, there is no run to abort")
 
 
 class FeasibilityService:
@@ -249,13 +258,6 @@ class FeasibilityService:
                 if not future.done():
                     future.cancel()
                 raise
-            except Exception as exc:  # never let a job kill the drainer
-                self.registry.counter("serve_failures_total").inc()
-                response = QueryResponse(
-                    failure=make_failure(f"serve:{key[:12]}", exc, 1, 0.0),
-                    provenance=QueryProvenance(
-                        source="executed", query_hash=key,
-                        queue_ms=queue_ms))
             if response.report is not None:
                 self.cache.store(key, response.report)
                 self.breaker.record_success()
@@ -268,63 +270,60 @@ class FeasibilityService:
 
     async def _run_job(self, key: str, query: FeasibilityQuery,
                        queue_ms: float) -> QueryResponse:
-        """Supervised execution: retries, deadline, pool recovery."""
-        policy = self.config.policy
+        """One job under its :class:`Supervisor`; never raises ``Exception``.
+
+        Every failed attempt — worker exception, poisoned payload,
+        deadline, dead pool, even a closed service — is settled by the
+        supervisor, so the drain task always gets a response back.
+        """
+        name = f"serve:{key[:12]}"
+        supervisor = Supervisor(self.config.policy, query.seed)
+        deadline = supervisor.policy.deadline_seconds
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
-        last_exc: Optional[BaseException] = None
-        attempt = 0
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                self.registry.counter("serve_retries_total").inc()
-                delay = policy.backoff_seconds(query.seed, key[:12], attempt)
-                if delay > 0:
-                    await asyncio.sleep(delay)
+        attempt = 1
+        while True:
+            attempt_start = time.perf_counter()
             pool = self._pool
-            if pool is None:
-                raise RuntimeError("service closed mid-job")
             try:
-                call = loop.run_in_executor(
-                    pool, execute_query_job, query, attempt)
-                if policy.deadline_seconds is not None:
-                    report = await asyncio.wait_for(
-                        call, timeout=policy.deadline_seconds)
-                else:
-                    report = await call
-                if isinstance(report, PoisonedResult):
-                    raise ResultIntegrityError(
-                        f"worker returned a poisoned result for query "
-                        f"{key[:12]} (attempt {report.attempt})")
-                wall_ms = (time.perf_counter() - start) * 1000.0
-                self.registry.histogram("serve_job_wall_ms").observe(wall_ms)
-                self.registry.counter("serve_executed_total").inc()
-                return QueryResponse(
-                    report=report,
-                    provenance=QueryProvenance(
-                        source="executed", query_hash=key, attempts=attempt,
-                        queue_ms=queue_ms, wall_ms=wall_ms))
+                if pool is None:
+                    raise RuntimeError("service closed mid-job")
+                report = supervisor.accept(name, await asyncio.wait_for(
+                    loop.run_in_executor(
+                        pool, execute_query_job, query, attempt),
+                    timeout=deadline))
+                break
             except asyncio.TimeoutError:
-                self.registry.counter("serve_deadline_exceeded_total").inc()
-                last_exc = DeadlineExceeded(
-                    f"query {key[:12]} exceeded its "
-                    f"{policy.deadline_seconds}s deadline")
-                # The worker is still grinding on the job; rebuilding the
-                # pool is the only way to reclaim its slot.
-                await self._rebuild_pool(pool)
-            except BrokenProcessPool as exc:
-                last_exc = exc
-                await self._rebuild_pool(pool)
+                failure: Exception = DeadlineExceeded(
+                    f"query {key[:12]} exceeded its {deadline}s deadline")
             except Exception as exc:
-                last_exc = exc
-        self.registry.counter("serve_failures_total").inc()
-        assert last_exc is not None
-        return QueryResponse(
-            failure=make_failure(f"serve:{key[:12]}", last_exc, attempt,
-                                 time.perf_counter() - start),
-            provenance=QueryProvenance(
-                source="executed", query_hash=key, attempts=attempt,
-                queue_ms=queue_ms,
-                wall_ms=(time.perf_counter() - start) * 1000.0))
+                failure = exc
+            if isinstance(failure, (DeadlineExceeded, BrokenProcessPool)):
+                # A hung worker is still grinding on the job and a dead
+                # one broke the pool; rebuilding the pool is the only way
+                # to reclaim either slot.
+                await self._rebuild_pool(pool)
+            if not supervisor.handle(name, attempt, failure,
+                                     time.perf_counter() - attempt_start):
+                break
+            await asyncio.sleep(supervisor.backoff(name, attempt))
+            attempt += 1
+
+        self.registry.counter("serve_retries_total").inc(supervisor.retries)
+        self.registry.counter("serve_deadline_exceeded_total").inc(
+            supervisor.deadline_exceeded)
+        self.registry.counter("serve_failures_total").inc(
+            len(supervisor.failures))
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        provenance = QueryProvenance(
+            source="executed", query_hash=key, attempts=attempt,
+            queue_ms=queue_ms, wall_ms=wall_ms)
+        if name in supervisor.failures:
+            return QueryResponse(failure=supervisor.failures[name],
+                                 provenance=provenance)
+        self.registry.histogram("serve_job_wall_ms").observe(wall_ms)
+        self.registry.counter("serve_executed_total").inc()
+        return QueryResponse(report=report, provenance=provenance)
 
     async def _rebuild_pool(self, broken: ProcessPoolExecutor) -> None:
         """Replace the pool; identity-guarded so concurrent jobs that saw

@@ -46,7 +46,6 @@ from repro.experiments.resilience import (
     FAILURES_METRIC,
     PoisonedResult,
     RETRIES_METRIC,
-    ResultIntegrityError,
     SupervisedTask,
     Supervisor,
     chaos_action,
@@ -491,17 +490,12 @@ def _square_task(value, attempt):
     """Module-level so it pickles into pool workers.
 
     Mirrors the shape of every real worker: chaos gate keyed on the task
-    name and attempt, poison returned (not raised) for the check
-    callback to reject.
+    name and attempt, poison returned (not raised) for the supervisor to
+    reject.
     """
     if chaos_fire(f"task-{value}", attempt) == "poison":
         return PoisonedResult(name=f"task-{value}", attempt=attempt)
     return value * value
-
-
-def _reject_poison(payload):
-    if isinstance(payload, PoisonedResult):
-        raise ResultIntegrityError(f"poisoned payload for {payload.name}")
 
 
 class TestSupervisedRunner:
@@ -509,7 +503,7 @@ class TestSupervisedRunner:
     recovery guarantees the campaign engine inherits, pinned without a
     full matrix in the loop."""
 
-    def _run(self, policy, *, jobs, tasks=4, check=None):
+    def _run(self, policy, *, jobs, tasks=4):
         supervisor = Supervisor(policy, seed=1)
         results = {}
         run_supervised(
@@ -520,7 +514,6 @@ class TestSupervisedRunner:
             on_success=lambda task, value, attempt, seconds:
                 results.__setitem__(task.name, value),
             on_failure=lambda failure: None,
-            check=check,
         )
         return supervisor, results
 
@@ -544,10 +537,10 @@ class TestSupervisedRunner:
         assert supervisor.deadline_exceeded == 1
         assert results == {f"task-{i}": i * i for i in (0, 2, 3)}
 
-    def test_check_rejects_poisoned_payload(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejects_poisoned_payload(self, jobs):
         with chaos("task-3:*:poison"):
-            supervisor, results = self._run(
-                DEFAULT_POLICY, jobs=1, check=_reject_poison)
+            supervisor, results = self._run(DEFAULT_POLICY, jobs=jobs)
         assert set(supervisor.failures) == {"task-3"}
         assert supervisor.failures["task-3"].kind == "poisoned"
         assert results == {f"task-{i}": i * i for i in (0, 1, 2)}

@@ -21,11 +21,11 @@ from repro.experiments.parallel import CACHE_VERSION
 from repro.experiments.resilience import (
     CACHE_REJECTS_METRIC,
     ENVELOPE_MAGIC,
-    atomic_write_bytes,
     decode_envelope,
     encode_envelope,
 )
 from repro.obs import MetricsRegistry, use_metrics
+from repro.storage import atomic_write_bytes
 
 
 PAYLOAD = {"rows": [1, 2, 3], "label": "fig7"}

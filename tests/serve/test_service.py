@@ -143,6 +143,79 @@ class TestSupervision:
         assert not response.ok
         assert response.failure.kind == "poisoned"
 
+    def test_retry_delays_follow_the_run_policy(self, monkeypatch):
+        # Retry k waits backoff_base_seconds * factor**(k-1): the delay
+        # is keyed on the attempt that failed, exactly as in the
+        # experiment and campaign runners.
+        monkeypatch.setenv("REPRO_CHAOS",
+                           "serve-query:1:crash,serve-query:2:crash")
+        delays = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            delays.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        config = ServeConfig(workers=1, policy=RunPolicy(
+            max_attempts=3, backoff_base_seconds=0.05, backoff_jitter=0.0))
+
+        async def body(service):
+            return await service.submit(_tiny(seed=8))
+
+        response = asyncio.run(_with_service(body, config))
+        assert response.ok
+        assert response.provenance.attempts == 3
+        assert delays == [0.05, 0.1]
+
+    def test_hung_worker_fails_on_its_deadline(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "serve-query:1:hang")
+        monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", "3")
+        config = ServeConfig(workers=1,
+                             policy=RunPolicy(deadline_seconds=0.5))
+
+        async def body(service):
+            return await service.submit(_tiny(seed=9)), service.stats()
+
+        response, stats = asyncio.run(_with_service(body, config))
+        assert not response.ok
+        assert response.failure.kind == "deadline"
+        assert response.failure.attempts == 1
+        assert stats["serve_deadline_exceeded_total"] == 1.0
+        assert stats["serve_pool_rebuilds_total"] == 1.0
+        assert stats["serve_failures_total"] == 1.0
+
+    def test_killed_worker_is_retried_on_a_rebuilt_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "serve-query:1:kill")
+        config = ServeConfig(workers=1, policy=RunPolicy(max_attempts=2))
+
+        async def body(service):
+            return await service.submit(_tiny(seed=10)), service.stats()
+
+        response, stats = asyncio.run(_with_service(body, config))
+        assert response.ok
+        assert response.provenance.attempts == 2
+        assert stats["serve_retries_total"] == 1.0
+        assert stats["serve_pool_rebuilds_total"] == 1.0
+        assert stats["serve_executed_total"] == 1.0
+
+    def test_killed_worker_without_retries_is_a_pool_failure(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "serve-query:1:kill")
+
+        async def body(service):
+            return await service.submit(_tiny(seed=12))
+
+        response = asyncio.run(
+            _with_service(body, ServeConfig(workers=1)))
+        assert not response.ok
+        assert response.failure.kind == "pool"
+
+    def test_fail_fast_policy_is_refused(self):
+        # A service has no run to abort on the first permanent failure.
+        with pytest.raises(ValueError, match="fail_fast"):
+            ServeConfig(policy=RunPolicy(fail_fast=True))
+
 
 async def _http(port, request: bytes) -> bytes:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
