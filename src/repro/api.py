@@ -38,14 +38,13 @@ from .experiments.engine import (
     TrialExecutor,
     TrialOutcome,
     scoped_executor,
-    use_executor,
 )
 from .experiments.parallel import (
     ExperimentRequest,
     experiment_names,
     experiment_spec,
-    reset_id_allocators,
     run_one_isolated,
+    worker_scope,
 )
 from .experiments.resilience import ExperimentFailure, RunPolicy
 from .experiments.runner import AllResults, format_report, run_all
@@ -55,7 +54,6 @@ from .serve import (
     QueryResponse,
     execute_query,
 )
-from .sim.faults import use_default_profile
 from .stack import AndroidStack, build_stack
 
 __all__ = [
@@ -101,13 +99,8 @@ def _execute_request(request: ExperimentRequest) -> Any:
             return pool.submit(run_one_isolated, request.name, scale).result()
     if not request.params:
         return run_one_isolated(request.name, scale)
-    # Same discipline as the worker path, with params threaded through.
-    reset_id_allocators()
-    with use_default_profile(scale.faults), use_executor(TrialExecutor()):
-        if spec.takes_scale:
-            return spec.runner(scale.for_experiment(request.name),
-                               **request.params)
-        return spec.runner(**request.params)
+    with worker_scope(scale.faults):
+        return spec.run(scale, **request.params)
 
 
 def run_experiment(

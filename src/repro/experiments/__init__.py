@@ -55,16 +55,13 @@ from .parallel import (
     ExperimentSpec,
     ExperimentTiming,
     ResultCache,
-    RunOutcome,
     default_cache_dir,
     experiment_names,
     experiment_spec,
     reset_id_allocators,
-    run_experiments,
     run_one_isolated,
 )
 from .resilience import (
-    CacheIntegrityError,
     ChaosCrash,
     DEFAULT_POLICY,
     ExperimentFailure,
@@ -166,7 +163,6 @@ __all__ = [
     "use_executor",
     "AnaRemovalResult",
     "AnaRemovalRow",
-    "CacheIntegrityError",
     "CampaignAggregate",
     "CampaignManifest",
     "CampaignResult",
@@ -183,7 +179,6 @@ __all__ = [
     "MetricDigest",
     "ResultCache",
     "RunJournal",
-    "RunOutcome",
     "RunPolicy",
     "ShardOutcome",
     "ShardSpec",
@@ -199,7 +194,6 @@ __all__ = [
     "reset_id_allocators",
     "resolve_jobs",
     "run_campaign",
-    "run_experiments",
     "run_one_isolated",
     "run_supervised",
     "shard_matrix",

@@ -20,10 +20,11 @@ one resumable campaign. This module is that layer:
   (:func:`~repro.experiments.resilience.run_supervised`): per-shard
   retries, deadlines, broken-pool recovery and the chaos harness all
   apply, with the shard name (``shard-0042``) as the fault-point key.
-* :class:`CampaignManifest` extends the
-  :class:`~repro.experiments.resilience.RunJournal` layout
-  (``campaign.json`` + one atomic envelope per completed shard) so
-  ``repro campaign --resume DIR`` re-runs only unfinished shards.
+* :class:`CampaignManifest` is a
+  :class:`~repro.experiments.resilience.RunJournal` that declares only
+  what identifies a campaign (``campaign.json`` + one atomic envelope
+  per completed shard), so ``repro campaign --resume DIR`` re-runs only
+  unfinished shards.
   Because digests merge *exactly* (see :mod:`.aggregate`), a killed and
   resumed campaign's aggregates are bit-identical to an uninterrupted
   run's — as is any re-sharding of the same matrix.
@@ -49,13 +50,12 @@ from .aggregate import (
     ShardOutcome,
     default_trial_metrics,
 )
-from .config import FULL, QUICK, SMOKE, ExperimentScale, resolve_jobs
-from .engine import ScenarioMatrix, TrialExecutor, TrialSpec, use_executor
-from .parallel import reset_id_allocators
+from .config import FULL, QUICK, SMOKE, resolve_jobs
+from .engine import ScenarioMatrix, TrialSpec
+from .parallel import worker_scope
 from .resilience import (
     DEFAULT_POLICY,
     ExperimentFailure,
-    JournalError,
     PoisonedResult,
     ResultIntegrityError,
     RunJournal,
@@ -191,25 +191,22 @@ def _run_shard(
 ):
     """Worker entry point: run one shard's cell range, return its digest.
 
-    Module-level so it pickles for the pool path; mirrors the experiment
-    worker's discipline (chaos gate at entry, id-allocator reset, scale
-    fault regime + fresh stack-reuse executor installed ambiently).
+    Module-level so it pickles for the pool path; shares the experiment
+    worker's discipline (chaos gate at entry, then
+    :func:`~repro.experiments.parallel.worker_scope` at the scale's
+    fault regime).
     ``attempt`` is consulted only by the chaos harness — trial seeds come
     from the matrix cells, so a crash-then-retry shard is bit-identical
     to one that never crashed.
     """
-    from ..sim.faults import use_default_profile
-
     if chaos_fire(shard.name, attempt) == "poison":
         return PoisonedResult(name=shard.name, attempt=attempt)
 
     extract = extractor if extractor is not None else default_trial_metrics
-    reset_id_allocators()
     aggregate = CampaignAggregate()
     trials = 0
     start = time.perf_counter()
-    with use_default_profile(matrix.scale.faults), \
-            use_executor(TrialExecutor()) as executor:
+    with worker_scope(matrix.scale.faults) as executor:
         for spec in islice(matrix.cells(), shard.start, shard.stop):
             value = executor.run(spec)
             group = group_by(spec, value) if group_by is not None \
@@ -266,7 +263,7 @@ def matrix_fingerprint(matrix: ScenarioMatrix) -> str:
 class CampaignManifest(RunJournal):
     """Crash-safe record of one campaign under a run directory.
 
-    Extends the :class:`RunJournal` layout::
+    The :class:`RunJournal` layout under its own manifest name::
 
         RUN_DIR/
           campaign.json            # matrix fingerprint + shard plan
@@ -276,7 +273,8 @@ class CampaignManifest(RunJournal):
     The manifest pins the matrix *fingerprint* and the shard count, so
     :meth:`resume` refuses a directory journaling a different campaign —
     or the same matrix re-sharded differently, since shard markers from
-    one plan mean nothing under another.
+    one plan mean nothing under another. Opening, resuming and marker
+    I/O are all :class:`RunJournal`'s.
     """
 
     MANIFEST = "campaign.json"
@@ -285,57 +283,14 @@ class CampaignManifest(RunJournal):
     #: (``fs:campaign:...``), distinct from plain run journals.
     SURFACE = "campaign"
 
+    NOUN = "campaign"
+
     def __init__(self, root: Path, matrix: ScenarioMatrix,
                  shards: int) -> None:
         super().__init__(root, matrix.scale, CAMPAIGN_VERSION)
         self.matrix = matrix
         self.shards = int(shards)
 
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def create(cls, root: Path, matrix: ScenarioMatrix,
-               shards: int) -> "CampaignManifest":
-        """Start journaling a fresh campaign into ``root``.
-
-        Refuses a directory that already holds completed shards — that
-        is either a finished campaign (nothing to do) or an interrupted
-        one the caller probably meant to ``--resume``.
-        """
-        manifest = cls(root, matrix, shards)
-        if manifest.manifest_path.exists() and manifest.completed_names():
-            raise JournalError(
-                f"{manifest.root} already contains completed shards; "
-                "resume it (--resume) or choose a fresh --run-dir")
-        manifest._write_manifest()
-        return manifest
-
-    @classmethod
-    def resume(cls, root: Path, matrix: ScenarioMatrix,
-               shards: int) -> "CampaignManifest":
-        """Open ``root`` for (re-)running this campaign.
-
-        A missing manifest starts a fresh one (``--resume`` is safe on
-        the very first run); an existing one must match the requested
-        matrix fingerprint and shard plan exactly.
-        """
-        manifest = cls(root, matrix, shards)
-        if not manifest.manifest_path.exists():
-            manifest._write_manifest()
-            return manifest
-        try:
-            existing = json.loads(manifest.manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise JournalError(
-                f"unreadable campaign manifest {manifest.manifest_path}: "
-                f"{exc}") from exc
-        if existing != manifest._manifest():
-            raise JournalError(
-                f"{manifest.root} journals a different campaign (matrix, "
-                "shard plan or format mismatch); choose a fresh --run-dir")
-        manifest.sweep_orphans()
-        return manifest
-
-    # -- manifest -------------------------------------------------------
     def _manifest(self) -> dict:
         return json.loads(json.dumps({
             "campaign_format": 1,
@@ -387,9 +342,6 @@ class CampaignResult(SerializableMixin):
         }, sort_keys=True, indent=2) + "\n"
 
 
-ProgressCallback = Callable[[int, int, "ShardOutcome"], None]
-
-
 def run_campaign(
     matrix: ScenarioMatrix,
     *,
@@ -409,8 +361,9 @@ def run_campaign(
     affects a single result bit. ``policy`` supervises *shards* the way
     ``run_all``'s policy supervises experiments: retries, deadlines,
     broken-pool recovery. With ``run_dir`` every completed shard is
-    journaled; ``resume=True`` re-runs only unfinished shards and the
-    merged aggregates are bit-identical to an uninterrupted run.
+    journaled; ``resume=True`` (which requires ``run_dir``) re-runs only
+    unfinished shards and the merged aggregates are bit-identical to an
+    uninterrupted run.
 
     ``extractor`` maps one trial to named float series (default:
     :func:`~repro.experiments.aggregate.default_trial_metrics`);
@@ -422,10 +375,8 @@ def run_campaign(
 
     jobs = resolve_jobs(jobs)
     shard_specs = shard_matrix(matrix, shards)
-    manifest: Optional[CampaignManifest] = None
-    if run_dir is not None:
-        opener = CampaignManifest.resume if resume else CampaignManifest.create
-        manifest = opener(Path(run_dir), matrix, len(shard_specs))
+    manifest = CampaignManifest.open(run_dir, matrix, len(shard_specs),
+                                     resume=resume)
 
     registry = current_metrics()
 

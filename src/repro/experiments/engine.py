@@ -294,7 +294,7 @@ class TrialExecutor:
     to build-per-trial (the benchmark's comparison arm).
 
     The executor is deliberately single-threaded: parallelism in this
-    suite lives at the experiment level (``run_experiments`` fans whole
+    suite lives at the experiment level (``run_all`` fans whole
     experiments out to worker processes), where it composes with reuse
     instead of fighting it for the pooled stacks.
     """

@@ -1,9 +1,11 @@
 """Parallel experiment execution with deterministic seed partitioning.
 
 The reproduction suite is ~20 independent experiments. This module holds
-the single source of truth for that set (:data:`EXPERIMENTS`), and runs it
-either in-process (``jobs=1``, the serial reference implementation) or
-fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+the single source of truth for that set (:data:`EXPERIMENTS`), the worker
+entry point and the result cache that
+:func:`~repro.experiments.runner.run_all` uses to run it either
+in-process (``jobs=1``, the serial reference implementation) or fanned
+out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Three properties make ``jobs=N`` bit-identical to ``jobs=1``:
 
@@ -22,8 +24,8 @@ Three properties make ``jobs=N`` bit-identical to ``jobs=1``:
 The same ``(name, scale)`` key also addresses an optional on-disk result
 cache, so a repeated ``run_all`` invocation only re-runs experiments whose
 scale (or the cache version) changed. Entries are wrapped in the
-checksummed envelope from :mod:`repro.experiments.resilience`, so corrupt
-or stale bytes degrade to a miss instead of a poisoned report.
+checksummed envelope from :mod:`repro.storage`, so corrupt or stale bytes
+degrade to a counted miss instead of a poisoned report.
 
 Execution is *supervised* (:class:`~repro.experiments.resilience.RunPolicy`):
 worker exceptions, deadline overruns and even a broken process pool are
@@ -43,12 +45,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..serialization import SerializableMixin
 from .animation_curves import _run_fig2, _run_fig4
 from .capture_rate import _run_fig7, _run_fig8
-from .config import QUICK, ExperimentScale, resolve_jobs
+from .config import QUICK, ExperimentScale
 from .corpus_study import _run_corpus_study
 from .defense_eval import (
     _run_ipc_defense,
@@ -61,24 +63,7 @@ from .noise_sensitivity import _run_noise_sensitivity
 from .outcomes_vs_d import _run_fig6
 from .password_study import _run_stealthiness, _run_table3
 from .real_world_apps import _run_table4
-from .resilience import (
-    CACHE_REJECTS_METRIC,
-    DEADLINE_METRIC,
-    DEFAULT_POLICY,
-    FAILURES_METRIC,
-    RETRIES_METRIC,
-    CacheIntegrityError,
-    ExperimentFailure,
-    PoisonedResult,
-    RunJournal,
-    RunPolicy,
-    SupervisedTask,
-    Supervisor,
-    chaos_fire,
-    decode_envelope,
-    encode_envelope,
-    run_supervised,
-)
+from .resilience import PoisonedResult, chaos_fire
 from ..storage.store import DurableStore
 from .supplementary import _run_fig7_with_cis, _run_table3_by_version
 from .toast_continuity import _run_toast_continuity
@@ -104,10 +89,12 @@ class ExperimentSpec:
     #: Whether ``runner`` accepts an :class:`ExperimentScale`.
     takes_scale: bool = True
 
-    def run(self, scale: ExperimentScale):
+    def run(self, scale: ExperimentScale, **params: Any):
+        """Run at this experiment's derived seed; ``params`` are extra
+        keyword arguments for the experiment function."""
         if not self.takes_scale:
-            return self.runner()
-        return self.runner(scale.for_experiment(self.name))
+            return self.runner(**params)
+        return self.runner(scale.for_experiment(self.name), **params)
 
 
 #: Every experiment of the suite, in the serial runner's historical order.
@@ -255,6 +242,27 @@ def reset_id_allocators() -> None:
     reset_window_ids()
 
 
+@contextlib.contextmanager
+def worker_scope(faults: Optional[str]) -> Iterator["TrialExecutor"]:
+    """The setup every unit of work runs under, whatever runs it.
+
+    Restarts the id allocators, installs ``faults`` as the ambient
+    default fault profile (so every stack built inside — however deep in
+    the call tree — sees the same regime serially or in a pool process)
+    and a fresh stack-reuse :class:`TrialExecutor`, which it yields and
+    drops on exit, keeping workers lean. The experiment worker, the
+    campaign shard worker and ``run_experiment`` with params all run
+    their work inside it.
+    """
+    from ..sim.faults import use_default_profile
+    from .engine import TrialExecutor, use_executor
+
+    reset_id_allocators()
+    with use_default_profile(faults), \
+            use_executor(TrialExecutor()) as executor:
+        yield executor
+
+
 def run_one_isolated(name: str, scale: ExperimentScale):
     """Run one experiment exactly as a pool worker would; return its result.
 
@@ -281,10 +289,8 @@ def _execute_one(
     ``(name, result, seconds, samples, pid)`` where ``samples`` is the
     experiment's metric snapshot (``None`` unless ``collect_metrics``) and
     ``pid`` identifies the worker process for utilization accounting. The
-    scale's fault regime is installed as the ambient default *inside* the
-    worker, so every stack the experiment builds — however deep in the
-    call tree — sees the same regime whether the experiment ran serially
-    or in a pool process.
+    experiment runs inside :func:`worker_scope` at the scale's fault
+    regime.
 
     ``attempt`` numbers the supervision retry (1-based). It is consulted
     *only* by the chaos harness — the experiment's seed derivation never
@@ -292,10 +298,7 @@ def _execute_one(
     a clean one. A ``poison`` fault point returns a bare
     :class:`PoisonedResult` instead, for the supervisor to reject.
 
-    Each experiment gets its own :class:`TrialExecutor` installed
-    ambiently, so its trial loops share one pool of reusable stacks
-    (dropped when the experiment finishes, keeping workers lean). With
-    ``collect_metrics`` it likewise gets its own
+    With ``collect_metrics`` the experiment gets its own
     :class:`~repro.obs.metrics.MetricsRegistry` — registries never cross
     the process boundary, only their pickled sample snapshots do. With
     ``profile_dir`` the experiment body runs under :mod:`cProfile` and its
@@ -303,20 +306,16 @@ def _execute_one(
     """
     from ..obs.context import use_metrics
     from ..obs.metrics import MetricsRegistry
-    from ..sim.faults import use_default_profile
-    from .engine import TrialExecutor, use_executor
 
     if chaos_fire(name, attempt) == "poison":
         return PoisonedResult(name=name, attempt=attempt)
 
     spec = _SPECS[name]
-    reset_id_allocators()
     registry = MetricsRegistry() if collect_metrics else None
     start = time.perf_counter()
     metrics_ctx = (use_metrics(registry) if collect_metrics
                    else contextlib.nullcontext())
-    with use_default_profile(scale.faults), use_executor(TrialExecutor()), \
-            metrics_ctx:
+    with worker_scope(scale.faults), metrics_ctx:
         if profile_dir is not None:
             import cProfile
 
@@ -348,9 +347,9 @@ class ResultCache:
 
     Keys are ``(experiment_name, every ExperimentScale field,
     CACHE_VERSION)`` — exactly the inputs the result is a pure function
-    of. Entries are checksummed envelopes
-    (:func:`~repro.experiments.resilience.encode_envelope`): corrupt,
-    truncated or stale-version bytes degrade to a miss, counted on
+    of. Entries are checksummed envelopes read and written through a
+    :class:`~repro.storage.store.DurableStore`: corrupt, truncated or
+    stale-version bytes degrade to a miss, counted on
     :attr:`integrity_rejects` and the ambient ``repro.obs`` registry as
     ``cache_integrity_rejects_total``. Writes go through collision-free
     temp files, so concurrent ``run_all`` invocations sharing a cache
@@ -362,8 +361,11 @@ class ResultCache:
         # The cache is optional-durability: a failed write is a counted
         # miss on the next run, never a failed experiment.
         self._store = DurableStore("cache", required=False)
-        #: Entries rejected by envelope validation since construction.
-        self.integrity_rejects = 0
+
+    @property
+    def integrity_rejects(self) -> int:
+        """Entries rejected by envelope validation since construction."""
+        return self._store.integrity_rejects
 
     def path_for(self, name: str, scale: ExperimentScale) -> Path:
         fields = dataclasses.asdict(scale)
@@ -374,232 +376,12 @@ class ResultCache:
         digest = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
         return self.directory / f"{name}-{scale.name}-{digest}.pkl"
 
-    def _note_reject(self) -> None:
-        from ..obs.context import current_metrics
-
-        self.integrity_rejects += 1
-        registry = current_metrics()
-        if registry is not None:
-            registry.counter(CACHE_REJECTS_METRIC).inc()
-
     def load(self, name: str, scale: ExperimentScale):
-        data = self._store.read_bytes(self.path_for(name, scale))
-        if data is None:
-            return None
-        try:
-            return decode_envelope(CACHE_VERSION, data)
-        except CacheIntegrityError:
-            self._note_reject()
-            return None
+        return self._store.read_envelope(self.path_for(name, scale),
+                                         CACHE_VERSION)
 
     def store(self, name: str, scale: ExperimentScale, result) -> bool:
         """Persist one result; ``False`` means the write degraded to a
         miss (the run carries on, the entry recomputes next time)."""
-        return self._store.write_bytes(
-            self.path_for(name, scale),
-            encode_envelope(CACHE_VERSION, result))
-
-
-# ---------------------------------------------------------------------------
-# Supervised execution
-# ---------------------------------------------------------------------------
-
-ProgressCallback = Callable[[int, int, ExperimentTiming], None]
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Everything one supervised ``run_experiments`` pass produced."""
-
-    #: Successful results keyed by experiment name (failed ones absent).
-    results: Dict[str, object]
-    #: Per-experiment accounting in registry order (failures included).
-    timings: Tuple[ExperimentTiming, ...]
-    #: ``ExperimentMetrics`` tuple when metrics were collected, else None.
-    metrics: Optional[Tuple]
-    #: Permanent failures in registry order (empty on a clean run).
-    failures: Tuple[ExperimentFailure, ...] = ()
-
-
-def run_experiments(
-    scale: ExperimentScale = QUICK,
-    *,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
-    verbose: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    collect_metrics: bool = False,
-    profile_dir: Optional[Path] = None,
-    policy: Optional[RunPolicy] = None,
-    journal: Optional[RunJournal] = None,
-) -> RunOutcome:
-    """Run every experiment under supervision; return a :class:`RunOutcome`.
-
-    ``jobs=1`` runs in-process and is the reference implementation;
-    ``jobs=N`` fans out over N worker processes; ``jobs=0`` means one per
-    core. Timings come back in registry order regardless of completion
-    order.
-
-    ``policy`` governs retries, deadlines and failure semantics (the
-    default is inert: one attempt, record failures, keep going). A worker
-    exception — or the whole process pool breaking — costs only that
-    experiment's attempts: the pool is rebuilt, surviving work is
-    re-submitted, and the failure is recorded as an
-    :class:`ExperimentFailure` on the outcome. ``journal`` checkpoints
-    every completion into a run directory so an interrupted run can be
-    resumed, skipping finished experiments.
-
-    With ``collect_metrics`` each experiment runs under its own
-    :class:`~repro.obs.metrics.MetricsRegistry` and ``outcome.metrics`` is
-    a tuple of :class:`~repro.obs.metrics.ExperimentMetrics`: one snapshot
-    per freshly-run experiment (cache hits carry no metrics) plus a
-    synthetic ``runner`` entry with per-experiment wall gauges, per-worker
-    busy/utilization gauges and the supervision counters
-    (``runner_retries_total``, ``runner_failures_total``,
-    ``runner_deadline_exceeded_total``, ``cache_integrity_rejects_total``).
-    Metrics never feed back into experiment code, so results are
-    bit-identical either way. ``profile_dir`` additionally runs each
-    experiment under :mod:`cProfile`, dumping ``<name>.prof`` files.
-    """
-    jobs = resolve_jobs(jobs)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    supervisor = Supervisor(policy or DEFAULT_POLICY, scale.seed)
-
-    results: Dict[str, object] = {}
-    timings: Dict[str, ExperimentTiming] = {}
-    sample_sets: Dict[str, tuple] = {}
-    busy_by_pid: Dict[int, float] = {}
-    done = 0
-    total = len(EXPERIMENTS)
-    wall_start = time.perf_counter()
-
-    def record(name: str, result, seconds: float, cached: bool,
-               attempts: int = 1) -> None:
-        nonlocal done
-        results[name] = result
-        timing = ExperimentTiming(name=name, seconds=seconds, cached=cached,
-                                  attempts=attempts)
-        timings[name] = timing
-        done += 1
-        if verbose:
-            spec = _SPECS[name]
-            suffix = "cache hit" if cached else f"{seconds:.2f}s"
-            print(f"[{scale.name}] [{done:2d}/{total}] {spec.title} "
-                  f"({suffix})", flush=True)
-        if progress is not None:
-            progress(done, total, timing)
-
-    def record_run(name: str, result, seconds: float, samples, pid: int,
-                   attempts: int = 1) -> None:
-        if cache is not None:
-            cache.store(name, scale, result)
-        if journal is not None:
-            journal.store(name, result)
-        if samples is not None:
-            sample_sets[name] = samples
-        busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + seconds
-        record(name, result, seconds, cached=False, attempts=attempts)
-
-    def record_failure(failure: ExperimentFailure) -> None:
-        nonlocal done
-        if journal is not None:
-            journal.store_failure(failure)
-        timing = ExperimentTiming(
-            name=failure.name, seconds=failure.elapsed_seconds, cached=False,
-            attempts=failure.attempts, failed=True)
-        timings[failure.name] = timing
-        done += 1
-        if verbose:
-            spec = _SPECS[failure.name]
-            print(f"[{scale.name}] [{done:2d}/{total}] {spec.title} "
-                  f"(FAILED: {failure.error})", flush=True)
-        if progress is not None:
-            progress(done, total, timing)
-
-    pending: List[ExperimentSpec] = []
-    for spec in EXPERIMENTS:
-        hit = journal.load(spec.name) if journal is not None else None
-        if hit is not None:
-            # Journaled completions also warm the cache so a later
-            # cache-only run sees them.
-            if cache is not None:
-                cache.store(spec.name, scale, hit)
-            record(spec.name, hit, 0.0, cached=True)
-            continue
-        hit = cache.load(spec.name, scale) if cache is not None else None
-        if hit is not None:
-            if journal is not None:
-                journal.store(spec.name, hit)
-            record(spec.name, hit, 0.0, cached=True)
-        else:
-            pending.append(spec)
-
-    run_supervised(
-        [SupervisedTask(name=spec.name, fn=_execute_one,
-                        args=(spec.name, scale, collect_metrics, profile_dir))
-         for spec in pending],
-        supervisor,
-        jobs=jobs,
-        on_success=lambda task, payload, attempt, seconds:
-            record_run(*payload, attempts=attempt),
-        on_failure=record_failure,
-    )
-
-    failures = tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS
-                     if spec.name in supervisor.failures)
-    ordered = tuple(timings[spec.name] for spec in EXPERIMENTS)
-    if not collect_metrics:
-        return RunOutcome(results=results, timings=ordered, metrics=None,
-                          failures=failures)
-
-    metrics = _assemble_metrics(
-        sample_sets, ordered, busy_by_pid,
-        wall_seconds=time.perf_counter() - wall_start,
-        supervisor=supervisor,
-        cache_rejects=cache.integrity_rejects if cache is not None else 0,
-    )
-    return RunOutcome(results=results, timings=ordered, metrics=metrics,
-                      failures=failures)
-
-
-def _assemble_metrics(
-    sample_sets: Dict[str, tuple],
-    timings: Tuple[ExperimentTiming, ...],
-    busy_by_pid: Dict[int, float],
-    wall_seconds: float,
-    supervisor: Supervisor,
-    cache_rejects: int,
-) -> Tuple:
-    """Label per-experiment snapshots and add the runner's own series.
-
-    Workers are numbered by sorted pid so the labels are stable for one
-    run but carry no machine-specific meaning across runs. Supervision
-    counters are always registered (at zero on a clean run) so exports
-    and CI assertions can rely on their presence.
-    """
-    from ..obs.metrics import ExperimentMetrics, MetricsRegistry
-
-    per_experiment = tuple(
-        ExperimentMetrics(name=spec.name, samples=sample_sets[spec.name])
-        for spec in EXPERIMENTS if spec.name in sample_sets
-    )
-    runner = MetricsRegistry()
-    for timing in timings:
-        if not timing.cached and not timing.failed:
-            runner.gauge("runner_experiment_wall_seconds",
-                         {"experiment": timing.name}).set(timing.seconds)
-    for worker, pid in enumerate(sorted(busy_by_pid)):
-        busy = busy_by_pid[pid]
-        runner.gauge("runner_worker_busy_seconds",
-                     {"worker": str(worker)}).set(busy)
-        runner.gauge("runner_worker_utilization",
-                     {"worker": str(worker)}).set(
-            busy / wall_seconds if wall_seconds > 0 else 0.0)
-    runner.gauge("runner_wall_seconds").set(wall_seconds)
-    runner.counter(RETRIES_METRIC).inc(supervisor.retries)
-    runner.counter(FAILURES_METRIC).inc(len(supervisor.failures))
-    runner.counter(DEADLINE_METRIC).inc(supervisor.deadline_exceeded)
-    runner.counter(CACHE_REJECTS_METRIC).inc(cache_rejects)
-    return per_experiment + (
-        ExperimentMetrics(name="runner", samples=runner.samples()),
-    )
+        return self._store.write_envelope(self.path_for(name, scale),
+                                          CACHE_VERSION, result)

@@ -15,14 +15,13 @@ failure the paper exploits inside Android's UI pipeline:
 * :class:`ExperimentFailure` — what the runner records instead of
   raising: exception repr, traceback text, attempts and elapsed time,
   so a 20/21 run still renders a usable (explicitly degraded) report;
-* a **checksummed envelope** for every persisted result
-  (:func:`encode_envelope` / :func:`decode_envelope`): magic + version +
-  sha256 over the pickle payload, so a corrupt, truncated or stale cache
-  entry degrades to a miss instead of feeding garbage into a report;
 * :class:`RunJournal` — ``run.json`` plus one atomically-written
   completion marker per experiment under a run directory, enabling
   ``repro report --resume RUN_DIR`` to re-run only the experiments a
-  crash or Ctrl-C left unfinished;
+  crash or Ctrl-C left unfinished. Markers are checksummed envelopes
+  read and written through a :class:`~repro.storage.store.DurableStore`
+  (the envelope's home), so a corrupt marker is a counted miss and that
+  experiment re-runs;
 * a **chaos harness** (:func:`chaos_action`) — env-keyed fault points
   that crash, hang, kill or poison specific ``(experiment, attempt)``
   pairs, mirroring the deterministic style of :mod:`repro.sim.faults`
@@ -48,8 +47,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
-import re
 import time
 import traceback as traceback_module
 from concurrent.futures import (
@@ -74,7 +71,7 @@ from typing import (
 )
 
 from ..serialization import SerializableMixin
-from ..storage.faults import chaos_spec_text
+from ..storage.faults import chaos_spec_text, parse_fs_entries
 from ..storage.store import DurableStore
 from .config import ExperimentScale
 
@@ -86,7 +83,6 @@ from .config import ExperimentScale
 RETRIES_METRIC = "runner_retries_total"
 FAILURES_METRIC = "runner_failures_total"
 DEADLINE_METRIC = "runner_deadline_exceeded_total"
-CACHE_REJECTS_METRIC = "cache_integrity_rejects_total"
 
 
 class DeadlineExceeded(RuntimeError):
@@ -95,10 +91,6 @@ class DeadlineExceeded(RuntimeError):
 
 class ResultIntegrityError(RuntimeError):
     """A worker returned a payload the supervisor refuses to accept."""
-
-
-class CacheIntegrityError(RuntimeError):
-    """A persisted result failed envelope validation (treated as a miss)."""
 
 
 class JournalError(RuntimeError):
@@ -246,60 +238,6 @@ def make_failure(name: str, exc: BaseException, attempts: int,
 
 
 # ---------------------------------------------------------------------------
-# Checksummed result envelope + atomic writes
-# ---------------------------------------------------------------------------
-
-#: First bytes of every persisted result (cache entry or journal marker).
-ENVELOPE_MAGIC = b"repro-envelope\n"
-
-_HEADER_RE = re.compile(r"v(\d+) sha256:([0-9a-f]{64})")
-
-
-def encode_envelope(version: int, obj: object) -> bytes:
-    """Wrap ``obj`` in the integrity envelope: magic, version, checksum.
-
-    The sha256 covers the pickle payload, the version header covers the
-    writer's ``CACHE_VERSION`` — so both bit rot and stale formats are
-    detected *before* ``pickle.loads`` ever sees the bytes.
-    """
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest()
-    header = f"v{int(version)} sha256:{digest}\n".encode("ascii")
-    return ENVELOPE_MAGIC + header + payload
-
-
-def decode_envelope(version: int, data: bytes) -> object:
-    """Validate and unwrap an envelope; raise :class:`CacheIntegrityError`.
-
-    Every reject names its reason — bad magic (foreign or pre-envelope
-    file), truncated or malformed header, stale version, checksum
-    mismatch, or a payload that no longer unpickles.
-    """
-    if not data.startswith(ENVELOPE_MAGIC):
-        raise CacheIntegrityError("missing envelope magic")
-    try:
-        header_end = data.index(b"\n", len(ENVELOPE_MAGIC))
-    except ValueError:
-        raise CacheIntegrityError("truncated envelope header") from None
-    header = data[len(ENVELOPE_MAGIC):header_end].decode("ascii", "replace")
-    match = _HEADER_RE.fullmatch(header)
-    if match is None:
-        raise CacheIntegrityError(f"malformed envelope header {header!r}")
-    if int(match.group(1)) != int(version):
-        raise CacheIntegrityError(
-            f"stale envelope version v{match.group(1)} (expected "
-            f"v{int(version)})")
-    payload = data[header_end + 1:]
-    if hashlib.sha256(payload).hexdigest() != match.group(2):
-        raise CacheIntegrityError("payload checksum mismatch")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise CacheIntegrityError(
-            f"checksummed payload failed to unpickle: {exc!r}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Run journal (checkpoint / resume)
 # ---------------------------------------------------------------------------
 
@@ -318,6 +256,12 @@ class RunJournal:
     or SIGKILL the directory holds precisely the finished prefix of the
     run. :meth:`resume` refuses a directory journaling a *different*
     run — silently mixing scales would corrupt an ``AllResults``.
+
+    Subclasses (:class:`~repro.experiments.campaign.CampaignManifest`)
+    declare only what identifies their run: :attr:`MANIFEST`,
+    :attr:`SURFACE`, :attr:`NOUN`, a constructor and :meth:`_manifest`.
+    :meth:`open`, :meth:`create` and :meth:`resume` build them with
+    ``cls(root, *args)``.
     """
 
     MANIFEST = "run.json"
@@ -325,6 +269,9 @@ class RunJournal:
     #: :class:`DurableStore` funnel name — the fault-injection target
     #: key (``fs:journal:...``); :class:`CampaignManifest` overrides it.
     SURFACE = "journal"
+
+    #: What one journal records, for error messages.
+    NOUN = "run"
 
     def __init__(self, root: Path, scale: ExperimentScale,
                  version: int) -> None:
@@ -339,32 +286,44 @@ class RunJournal:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def create(cls, root: Path, scale: ExperimentScale,
-               version: int) -> "RunJournal":
+    def open(cls, root: Optional[Path], *args: Any, resume: bool = False):
+        """The journal for ``root``: resumed when ``resume``, else created.
+
+        ``None`` without a ``root`` (the run is not journaled); asking to
+        resume without one is a :class:`ValueError`, since there is
+        nothing to resume from.
+        """
+        if root is None:
+            if resume:
+                raise ValueError("resume=True requires run_dir")
+            return None
+        return (cls.resume if resume else cls.create)(root, *args)
+
+    @classmethod
+    def create(cls, root: Path, *args: Any):
         """Start journaling a fresh run into ``root``.
 
         Refuses a directory that already holds completed results — that
         is either a finished run (nothing to do) or an interrupted one
         the caller probably meant to ``--resume``.
         """
-        journal = cls(root, scale, version)
+        journal = cls(root, *args)
         if journal.manifest_path.exists() and journal.completed_names():
             raise JournalError(
-                f"{journal.root} already contains completed results; "
-                "resume it (--resume) or choose a fresh --run-dir")
+                f"{journal.root} already contains completed {cls.NOUN} "
+                "results; resume it (--resume) or choose a fresh --run-dir")
         journal._write_manifest()
         return journal
 
     @classmethod
-    def resume(cls, root: Path, scale: ExperimentScale,
-               version: int) -> "RunJournal":
-        """Open ``root`` for (re-)running ``scale``.
+    def resume(cls, root: Path, *args: Any):
+        """Open ``root`` for (re-)running the journaled work.
 
         A missing manifest starts a fresh journal (``--resume`` is safe
-        on the very first run); an existing one must match the requested
-        scale and cache version exactly.
+        on the very first run); an existing one must equal
+        :meth:`_manifest` exactly.
         """
-        journal = cls(root, scale, version)
+        journal = cls(root, *args)
         if not journal.manifest_path.exists():
             journal._write_manifest()
             return journal
@@ -372,12 +331,12 @@ class RunJournal:
             existing = json.loads(journal.manifest_path.read_text())
         except (OSError, ValueError) as exc:
             raise JournalError(
-                f"unreadable journal manifest {journal.manifest_path}: "
+                f"unreadable {cls.NOUN} manifest {journal.manifest_path}: "
                 f"{exc}") from exc
         if existing != journal._manifest():
             raise JournalError(
-                f"{journal.root} journals a different run (scale or cache "
-                "version mismatch); choose a fresh --run-dir")
+                f"{journal.root} journals a different {cls.NOUN} "
+                f"({cls.MANIFEST} does not match); choose a fresh --run-dir")
         journal.sweep_orphans()
         return journal
 
@@ -387,8 +346,11 @@ class RunJournal:
         return self.root / self.MANIFEST
 
     def _manifest(self) -> dict:
-        # Round-trip through JSON so the equality check against a parsed
-        # manifest compares like with like (tuples become lists, etc.).
+        """Everything that identifies this run: scale and cache version.
+
+        Round-tripped through JSON so the equality check against a parsed
+        manifest compares like with like (tuples become lists, etc.).
+        """
         return json.loads(json.dumps({
             "journal_format": 1,
             "cache_version": self.version,
@@ -397,18 +359,19 @@ class RunJournal:
 
     def _write_manifest(self) -> None:
         self._persist(
-            self.manifest_path,
+            self._store.write_bytes, self.manifest_path,
             json.dumps(self._manifest(), indent=2,
                        sort_keys=True).encode("utf-8") + b"\n")
 
-    def _persist(self, path: Path, data: bytes) -> None:
-        """Required-durability write: an ``OSError`` (real or injected)
-        becomes a :class:`JournalError` refusal the caller can act on —
-        the CLI exits 2 outside supervision; inside ``run_supervised``
-        the ``on_success`` hook converts it into a recorded
-        :class:`ExperimentFailure` for that unit of work."""
+    def _persist(self, write: Callable[..., bool], path: Path,
+                 *args: Any) -> None:
+        """Required-durability ``write(path, *args)``: an ``OSError``
+        (real or injected) becomes a :class:`JournalError` refusal the
+        caller can act on — the CLI exits 2 outside supervision; inside
+        ``run_supervised`` the ``on_success`` hook converts it into a
+        recorded :class:`ExperimentFailure` for that unit of work."""
         try:
-            self._store.write_bytes(path, data)
+            write(path, *args)
         except OSError as exc:
             raise JournalError(f"cannot persist {path}: {exc}") from exc
 
@@ -417,18 +380,18 @@ class RunJournal:
         return self.results_dir / f"{name}.pkl"
 
     def load(self, name: str):
-        """The journaled result for ``name``, or ``None`` to re-run it."""
-        data = self._store.read_bytes(self.result_path(name))
-        if data is None:
-            return None
-        try:
-            return decode_envelope(self.version, data)
-        except CacheIntegrityError:
-            return None
+        """The journaled result for ``name``, or ``None`` to re-run it
+        (a rejected marker is counted by the store)."""
+        return self._store.read_envelope(self.result_path(name), self.version)
+
+    @property
+    def integrity_rejects(self) -> int:
+        """Markers rejected by envelope validation since construction."""
+        return self._store.integrity_rejects
 
     def store(self, name: str, result: object) -> None:
-        self._persist(self.result_path(name),
-                      encode_envelope(self.version, result))
+        self._persist(self._store.write_envelope, self.result_path(name),
+                      self.version, result)
         try:
             (self.failures_dir / f"{name}.json").unlink()
         except OSError:
@@ -436,6 +399,7 @@ class RunJournal:
 
     def store_failure(self, failure: ExperimentFailure) -> None:
         self._persist(
+            self._store.write_bytes,
             self.failures_dir / f"{failure.name}.json",
             json.dumps(failure.to_dict(), indent=2,
                        sort_keys=True).encode("utf-8") + b"\n")
@@ -491,18 +455,17 @@ def chaos_hang_seconds() -> float:
     return float(env)
 
 
-def chaos_action(name: str, attempt: int) -> Optional[str]:
-    """The fault mode injected for ``(name, attempt)``, if any.
+def _parse_chaos_entries(
+        spec: str) -> Tuple[Tuple[str, Optional[int], str], ...]:
+    """Validate every process entry of ``spec``; ``(target, attempt,
+    mode)`` each, ``attempt`` ``None`` for ``*``.
 
-    Parses :data:`CHAOS_ENV` on every call (it is consulted once per
-    experiment attempt, never on a hot path) so tests can flip the spec
-    between runs without process churn. ``fs:`` entries belong to the
-    storage-fault parser (:mod:`repro.storage.faults`) and are skipped
-    here; a ``@/path`` spec is read from that file on every consult.
+    ``fs:`` entries belong to the storage-fault parser
+    (:mod:`repro.storage.faults`) and are skipped. Anything malformed —
+    wrong arity, unknown mode, an attempt that is not an integer >= 1
+    or ``*`` — is a :class:`ChaosError` naming the entry.
     """
-    spec = chaos_spec_text()
-    if not spec:
-        return None
+    entries = []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry or entry.startswith("fs:"):
@@ -515,13 +478,37 @@ def chaos_action(name: str, attempt: int) -> Optional[str]:
         target, raw_attempt, mode = parts
         if mode not in CHAOS_MODES:
             raise ChaosError(
-                f"unknown chaos mode {mode!r}; valid: "
+                f"unknown chaos mode {mode!r} in {entry!r}; valid: "
                 f"{', '.join(CHAOS_MODES)}")
-        if target not in ("*", name):
-            continue
-        if raw_attempt != "*" and int(raw_attempt) != attempt:
-            continue
-        return mode
+        attempt: Optional[int] = None
+        if raw_attempt != "*":
+            try:
+                attempt = int(raw_attempt)
+            except ValueError:
+                attempt = 0
+            if attempt < 1:
+                raise ChaosError(
+                    f"bad attempt {raw_attempt!r} in {CHAOS_ENV} entry "
+                    f"{entry!r}; expected an integer >= 1 or '*'")
+        entries.append((target, attempt, mode))
+    return tuple(entries)
+
+
+def chaos_action(name: str, attempt: int) -> Optional[str]:
+    """The fault mode injected for ``(name, attempt)``, if any.
+
+    Parses :data:`CHAOS_ENV` on every call (it is consulted once per
+    experiment attempt, never on a hot path) so tests can flip the spec
+    between runs without process churn; a ``@/path`` spec is read from
+    that file on every consult. Every entry is validated before any is
+    matched, so a typo anywhere in the spec fails every consult.
+    """
+    spec = chaos_spec_text()
+    if not spec:
+        return None
+    for target, armed, mode in _parse_chaos_entries(spec):
+        if target in ("*", name) and armed in (None, attempt):
+            return mode
     return None
 
 
@@ -554,13 +541,18 @@ def chaos(spec: str, hang_seconds: Optional[float] = None) -> Iterator[None]:
 
     Environment variables propagate to pool workers spawned inside the
     block, so this one context manager drives both the serial and the
-    fanned-out paths.
+    fanned-out paths. The spec's process and ``fs:`` entries are
+    validated on entry, so a typo fails here rather than at the first
+    consult — or never, if its target never runs.
     """
     saved = {key: os.environ.get(key) for key in (CHAOS_ENV, CHAOS_HANG_ENV)}
     os.environ[CHAOS_ENV] = spec
     if hang_seconds is not None:
         os.environ[CHAOS_HANG_ENV] = repr(float(hang_seconds))
     try:
+        text = chaos_spec_text()
+        _parse_chaos_entries(text)
+        parse_fs_entries(text)
         yield
     finally:
         for key, value in saved.items():

@@ -5,9 +5,10 @@ result bundle; ``format_report`` renders it as the markdown used to update
 EXPERIMENTS.md. Examples and benches call the individual experiment
 functions directly.
 
-Execution is delegated to :mod:`repro.experiments.parallel`: ``jobs=1``
-(the default) is the in-process serial reference path, ``jobs=N`` fans out
-over worker processes, and both derive each experiment's seed from the
+``run_all`` supervises the worker entry point of
+:mod:`repro.experiments.parallel`: ``jobs=1`` (the default) is the
+in-process serial reference path, ``jobs=N`` fans out over worker
+processes, and both derive each experiment's seed from the
 same stable ``(scale, experiment name)`` key — which is what makes the two
 paths produce field-for-field equal :class:`AllResults` (asserted by
 ``tests/experiments/test_parallel_determinism.py``).
@@ -21,16 +22,18 @@ explicitly FAILED — a 20/21 run still produces a usable report.
 from __future__ import annotations
 
 import io
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ..devices.registry import DEVICES
-from ..obs.metrics import ExperimentMetrics
+from ..obs.metrics import ExperimentMetrics, MetricsRegistry
 from ..serialization import SerializableMixin
+from ..storage.store import CACHE_REJECTS_METRIC
 from .animation_curves import Fig2Result, Fig4Result
 from .capture_rate import Fig7Result, Fig8Result
-from .config import ExperimentScale, QUICK
+from .config import ExperimentScale, QUICK, resolve_jobs
 from .corpus_study import CorpusStudyResult
 from .defense_tuning import DefenseTuningResult
 from .equation_validation import EquationValidationResult
@@ -43,11 +46,29 @@ from .noise_sensitivity import NoiseSensitivityResult
 from .outcomes_vs_d import Fig6Result
 from .password_study import StealthinessResult, Table3Result
 from .real_world_apps import Table4Result
-from .resilience import ExperimentFailure, RunJournal, RunPolicy
+from .resilience import (
+    DEADLINE_METRIC,
+    DEFAULT_POLICY,
+    FAILURES_METRIC,
+    RETRIES_METRIC,
+    ExperimentFailure,
+    RunJournal,
+    RunPolicy,
+    SupervisedTask,
+    Supervisor,
+    run_supervised,
+)
 from .toast_continuity import ToastContinuityResult
 from .supplementary import Fig7WithCisResult, Table3ByVersionResult
 from .trigger_comparison import TriggerComparisonResult
-from .parallel import ExperimentTiming
+from .parallel import (
+    CACHE_VERSION,
+    EXPERIMENTS,
+    ExperimentTiming,
+    ResultCache,
+    _execute_one,
+    experiment_spec,
+)
 from .upper_bound import LoadImpactResult, Table2Result
 
 
@@ -119,7 +140,13 @@ def run_all(
     run_dir: Optional[Path] = None,
     resume: bool = False,
 ) -> AllResults:
-    """Run the complete reproduction suite at one scale.
+    """Run the complete reproduction suite at one scale, supervised.
+
+    Timings, failures and metrics come back in registry order regardless
+    of completion order. A worker exception — or the whole process pool
+    breaking — costs only that experiment's attempts: the pool is
+    rebuilt, surviving work is re-submitted, and the failure is recorded
+    on :attr:`AllResults.failures` with the result field left ``None``.
 
     Args:
         scale: experiment sizing preset (SMOKE/QUICK/FULL or custom).
@@ -128,9 +155,15 @@ def run_all(
             ``0`` means one per core. Any value yields identical results.
         cache_dir: enable the on-disk result cache rooted here; ``None``
             disables caching.
-        collect_metrics: run every experiment under a metrics registry and
-            attach the snapshots as ``AllResults.metrics``. Metrics only
-            observe, so all result fields (and the formatted report) are
+        collect_metrics: run every experiment under its own metrics
+            registry and attach the snapshots as ``AllResults.metrics``:
+            one per freshly-run experiment (cache hits carry none) plus a
+            synthetic ``runner`` entry with per-experiment wall gauges,
+            per-worker busy/utilization gauges and the supervision
+            counters (``runner_retries_total``, ``runner_failures_total``,
+            ``runner_deadline_exceeded_total``,
+            ``cache_integrity_rejects_total``). Metrics only observe, so
+            all result fields (and the formatted report) are
             byte-identical with or without this flag.
         profile_dir: dump a cProfile ``<experiment>.prof`` per experiment
             into this directory.
@@ -143,22 +176,140 @@ def run_all(
         resume: reuse an existing ``run_dir`` journal, skipping the
             experiments it already holds; requires ``run_dir``.
     """
-    from .parallel import CACHE_VERSION, run_experiments
+    journal = RunJournal.open(run_dir, scale, CACHE_VERSION, resume=resume)
+    jobs = resolve_jobs(jobs)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    supervisor = Supervisor(policy or DEFAULT_POLICY, scale.seed)
 
-    journal = None
-    if resume and run_dir is None:
-        raise ValueError("resume=True requires run_dir")
-    if run_dir is not None:
-        opener = RunJournal.resume if resume else RunJournal.create
-        journal = opener(run_dir, scale, CACHE_VERSION)
-    outcome = run_experiments(
-        scale, jobs=jobs, cache_dir=cache_dir, verbose=verbose,
-        collect_metrics=collect_metrics, profile_dir=profile_dir,
-        policy=policy, journal=journal,
+    results: Dict[str, object] = {}
+    timings: Dict[str, ExperimentTiming] = {}
+    sample_sets: Dict[str, tuple] = {}
+    busy_by_pid: Dict[int, float] = {}
+    done = 0
+    total = len(EXPERIMENTS)
+    wall_start = time.perf_counter()
+
+    def note(timing: ExperimentTiming, status: str) -> None:
+        nonlocal done
+        timings[timing.name] = timing
+        done += 1
+        if verbose:
+            print(f"[{scale.name}] [{done:2d}/{total}] "
+                  f"{experiment_spec(timing.name).title} ({status})",
+                  flush=True)
+
+    def record_hit(name: str, result) -> None:
+        results[name] = result
+        note(ExperimentTiming(name=name, seconds=0.0, cached=True),
+             "cache hit")
+
+    def record_run(task: SupervisedTask, payload, attempt: int,
+                   _seconds: float) -> None:
+        name, result, seconds, samples, pid = payload
+        if cache is not None:
+            cache.store(name, scale, result)
+        if journal is not None:
+            journal.store(name, result)
+        if samples is not None:
+            sample_sets[name] = samples
+        busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + seconds
+        results[name] = result
+        note(ExperimentTiming(name=name, seconds=seconds, attempts=attempt),
+             f"{seconds:.2f}s")
+
+    def record_failure(failure: ExperimentFailure) -> None:
+        if journal is not None:
+            journal.store_failure(failure)
+        note(ExperimentTiming(
+            name=failure.name, seconds=failure.elapsed_seconds,
+            attempts=failure.attempts, failed=True),
+            f"FAILED: {failure.error}")
+
+    pending = []
+    for spec in EXPERIMENTS:
+        hit = journal.load(spec.name) if journal is not None else None
+        if hit is not None:
+            # Journaled completions also warm the cache so a later
+            # cache-only run sees them.
+            if cache is not None:
+                cache.store(spec.name, scale, hit)
+            record_hit(spec.name, hit)
+            continue
+        hit = cache.load(spec.name, scale) if cache is not None else None
+        if hit is not None:
+            if journal is not None:
+                journal.store(spec.name, hit)
+            record_hit(spec.name, hit)
+        else:
+            pending.append(spec)
+
+    run_supervised(
+        [SupervisedTask(name=spec.name, fn=_execute_one,
+                        args=(spec.name, scale, collect_metrics, profile_dir))
+         for spec in pending],
+        supervisor,
+        jobs=jobs,
+        on_success=record_run,
+        on_failure=record_failure,
     )
-    return AllResults(scale_name=scale.name, timings=outcome.timings,
-                      metrics=outcome.metrics, failures=outcome.failures,
-                      **outcome.results)
+
+    ordered = tuple(timings[spec.name] for spec in EXPERIMENTS)
+    metrics = None
+    if collect_metrics:
+        metrics = _assemble_metrics(
+            sample_sets, ordered, busy_by_pid,
+            wall_seconds=time.perf_counter() - wall_start,
+            supervisor=supervisor,
+            integrity_rejects=sum(owner.integrity_rejects
+                                  for owner in (cache, journal)
+                                  if owner is not None),
+        )
+    return AllResults(
+        scale_name=scale.name, timings=ordered, metrics=metrics,
+        failures=tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS
+                       if spec.name in supervisor.failures),
+        **results)
+
+
+def _assemble_metrics(
+    sample_sets: Dict[str, tuple],
+    timings: Tuple[ExperimentTiming, ...],
+    busy_by_pid: Dict[int, float],
+    wall_seconds: float,
+    supervisor: Supervisor,
+    integrity_rejects: int,
+) -> Tuple[ExperimentMetrics, ...]:
+    """Label per-experiment snapshots and add the runner's own series.
+
+    Workers are numbered by sorted pid so the labels are stable for one
+    run but carry no machine-specific meaning across runs. Supervision
+    counters are always registered (at zero on a clean run) so exports
+    and CI assertions can rely on their presence.
+    """
+    per_experiment = tuple(
+        ExperimentMetrics(name=spec.name, samples=sample_sets[spec.name])
+        for spec in EXPERIMENTS if spec.name in sample_sets
+    )
+    runner = MetricsRegistry()
+    for timing in timings:
+        if not timing.cached and not timing.failed:
+            runner.gauge("runner_experiment_wall_seconds",
+                         {"experiment": timing.name}).set(timing.seconds)
+    for worker, pid in enumerate(sorted(busy_by_pid)):
+        busy = busy_by_pid[pid]
+        runner.gauge("runner_worker_busy_seconds",
+                     {"worker": str(worker)}).set(busy)
+        runner.gauge("runner_worker_utilization",
+                     {"worker": str(worker)}).set(
+            busy / wall_seconds if wall_seconds > 0 else 0.0)
+    runner.gauge("runner_wall_seconds").set(wall_seconds)
+    runner.counter(RETRIES_METRIC).inc(supervisor.retries)
+    runner.counter(FAILURES_METRIC).inc(len(supervisor.failures))
+    runner.counter(DEADLINE_METRIC).inc(supervisor.deadline_exceeded)
+    runner.counter(CACHE_REJECTS_METRIC).inc(integrity_rejects)
+    return per_experiment + (
+        ExperimentMetrics(name="runner", samples=runner.samples()),
+    )
 
 
 # ---------------------------------------------------------------------------

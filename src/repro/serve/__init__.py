@@ -21,7 +21,7 @@ from .breaker import (
     CircuitBreaker,
     ServiceOverloaded,
 )
-from .cache import SERVE_CACHE_REJECTS_METRIC, SERVE_CACHE_VERSION, QueryCache
+from .cache import SERVE_CACHE_VERSION, QueryCache
 from .execution import execute_query, execute_query_job
 from .http import start_http_server
 from .schema import (
@@ -48,7 +48,6 @@ __all__ = [
     "QueryCache",
     "QueryProvenance",
     "QueryResponse",
-    "SERVE_CACHE_REJECTS_METRIC",
     "SERVE_CACHE_VERSION",
     "ServeConfig",
     "ServiceOverloaded",

@@ -1,18 +1,17 @@
 """Content-addressed result cache for feasibility queries.
 
-The same checksummed-envelope idiom as the experiment
+The same checksummed envelope (:mod:`repro.storage`) as the experiment
 :class:`~repro.experiments.parallel.ResultCache`, keyed by the query's
 content hash instead of ``(name, scale)``. Disk I/O routes through a
 ``query-cache`` :class:`~repro.storage.store.DurableStore` — the cache
 is an optional-durability surface, so an injected or real write failure
 degrades to a counted miss (the entry is kept dirty in memory and
 retried by :meth:`flush`, which the graceful-drain path calls), and
-corrupt, truncated or stale-version bytes degrade to a miss counted on
-both the runner-side ``cache_integrity_rejects_total`` convention and
-the serve-local :data:`SERVE_CACHE_REJECTS_METRIC`. A memory layer
-fronts the disk so a warm hit never re-reads or re-validates bytes;
-with no directory configured the cache is memory-only and dies with the
-service.
+corrupt, truncated or stale-version bytes degrade to a miss the store
+counts once, as ``cache_integrity_rejects_total`` on the service's
+registry. A memory layer fronts the disk so a warm hit never re-reads or
+re-validates bytes; with no directory configured the cache is
+memory-only and dies with the service.
 """
 
 from __future__ import annotations
@@ -20,24 +19,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..experiments.resilience import (
-    CACHE_REJECTS_METRIC,
-    CacheIntegrityError,
-    decode_envelope,
-    encode_envelope,
-)
 from ..storage.store import DurableStore
 from .schema import FeasibilityReport
 
-__all__ = ["SERVE_CACHE_REJECTS_METRIC", "SERVE_CACHE_VERSION", "QueryCache"]
+__all__ = ["SERVE_CACHE_VERSION", "QueryCache"]
 
 #: Bump when a change to query execution invalidates previously cached
 #: reports (the content hash only sees the query, never the code).
 SERVE_CACHE_VERSION = 1
-
-#: Disk entries rejected by envelope validation — the serve twin of the
-#: runner-side ``cache_integrity_rejects_total``.
-SERVE_CACHE_REJECTS_METRIC = "serve_cache_integrity_rejects_total"
 
 
 class QueryCache:
@@ -46,33 +35,21 @@ class QueryCache:
     def __init__(self, directory: Optional[Path] = None,
                  registry: object = None) -> None:
         self.directory = Path(directory) if directory is not None else None
-        self._registry = registry
         self._store = DurableStore("query-cache", required=False,
                                    registry=registry)
         self._memory: Dict[str, FeasibilityReport] = {}
         #: Reports whose disk write failed; flushed on drain.
         self._dirty: Dict[str, FeasibilityReport] = {}
-        #: Entries rejected by envelope validation since construction.
-        self.integrity_rejects = 0
+
+    @property
+    def integrity_rejects(self) -> int:
+        """Entries rejected by envelope validation since construction."""
+        return self._store.integrity_rejects
 
     def path_for(self, key: str) -> Path:
         if self.directory is None:
             raise ValueError("memory-only cache has no paths")
         return self.directory / f"query-{key}.pkl"
-
-    def _count(self, name: str) -> None:
-        registry = self._registry
-        if registry is None:
-            from ..obs.context import current_metrics
-
-            registry = current_metrics()
-        if registry is not None:
-            registry.counter(name).inc()
-
-    def _note_reject(self) -> None:
-        self.integrity_rejects += 1
-        self._count(CACHE_REJECTS_METRIC)
-        self._count(SERVE_CACHE_REJECTS_METRIC)
 
     @property
     def dirty_entries(self) -> int:
@@ -85,13 +62,9 @@ class QueryCache:
             return hit
         if self.directory is None:
             return None
-        data = self._store.read_bytes(self.path_for(key))
-        if data is None:
-            return None
-        try:
-            report = decode_envelope(SERVE_CACHE_VERSION, data)
-        except CacheIntegrityError:
-            self._note_reject()
+        report = self._store.read_envelope(self.path_for(key),
+                                           SERVE_CACHE_VERSION)
+        if report is None:
             return None
         self._memory[key] = report
         return report
@@ -102,9 +75,8 @@ class QueryCache:
         self._memory[key] = report
         if self.directory is None:
             return True
-        if self._store.write_bytes(
-                self.path_for(key),
-                encode_envelope(SERVE_CACHE_VERSION, report)):
+        if self._store.write_envelope(self.path_for(key),
+                                      SERVE_CACHE_VERSION, report):
             self._dirty.pop(key, None)
             return True
         self._dirty[key] = report
@@ -122,9 +94,8 @@ class QueryCache:
         written = 0
         for key in sorted(self._dirty):
             report = self._dirty[key]
-            if self._store.write_bytes(
-                    self.path_for(key),
-                    encode_envelope(SERVE_CACHE_VERSION, report)):
+            if self._store.write_envelope(self.path_for(key),
+                                          SERVE_CACHE_VERSION, report):
                 del self._dirty[key]
                 written += 1
         return written

@@ -60,14 +60,18 @@ from ..experiments.resilience import (
     _terminate_pool,
 )
 from ..obs.metrics import MetricsRegistry
-from ..storage.store import FS_FAULTS_METRIC, FS_WRITE_ERRORS_METRIC
+from ..storage.store import (
+    CACHE_REJECTS_METRIC,
+    FS_FAULTS_METRIC,
+    FS_WRITE_ERRORS_METRIC,
+)
 from .breaker import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
     ServiceOverloaded,
 )
-from .cache import SERVE_CACHE_REJECTS_METRIC, QueryCache
+from .cache import QueryCache
 from .execution import execute_query_job
 from .schema import FeasibilityQuery, QueryProvenance, QueryResponse
 
@@ -85,7 +89,7 @@ _COUNTERS = (
     "serve_deadline_exceeded_total",
     "serve_pool_rebuilds_total",
     "serve_shed_total",
-    SERVE_CACHE_REJECTS_METRIC,
+    CACHE_REJECTS_METRIC,
     FS_FAULTS_METRIC,
     FS_WRITE_ERRORS_METRIC,
 )

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple, Union
 
+from .store import DurableStore
+
 __all__ = ["FsckIssue", "FsckReport", "fsck_run_dir", "format_fsck"]
 
 
@@ -84,11 +86,7 @@ def fsck_run_dir(root: Union[str, Path], *,
                  sweep: bool = False) -> FsckReport:
     """Verify ``root`` offline; raises ``JournalError`` when the
     directory is not usable as a journal at all (no/bad manifest)."""
-    from ..experiments.resilience import (
-        CacheIntegrityError,
-        JournalError,
-        decode_envelope,
-    )
+    from ..experiments.resilience import JournalError
 
     root = Path(root)
     if not root.is_dir():
@@ -107,19 +105,16 @@ def fsck_run_dir(root: Union[str, Path], *,
     failures_dir = root / "failures"
 
     results_checked = 0
+    # A read-only funnel of its own: fsck's reads never advance the
+    # fault-occurrence counters of the surfaces it inspects.
+    store = DurableStore("fsck", required=False)
     if results_dir.is_dir():
         for marker in sorted(results_dir.glob("*.pkl")):
             results_checked += 1
             relative = str(marker.relative_to(root))
-            try:
-                data = marker.read_bytes()
-            except OSError as exc:
-                issues.append(FsckIssue(relative, f"unreadable: {exc}"))
-                continue
-            try:
-                decode_envelope(version, data)
-            except CacheIntegrityError as exc:
-                issues.append(FsckIssue(relative, str(exc)))
+            if store.read_envelope(marker, version) is None:
+                issues.append(FsckIssue(
+                    relative, store.last_reject or "unreadable"))
                 continue
             if expected is not None and marker.stem not in expected:
                 issues.append(FsckIssue(

@@ -14,6 +14,15 @@ faults and where the hardening policy lives:
   underlying :class:`OSError` for the owner to convert into its typed
   refusal (``JournalError``) or a structured ``ExperimentFailure``.
 
+Persisted results travel in the **checksummed envelope** defined here
+(:func:`encode_envelope` / :func:`decode_envelope`): magic + version +
+sha256 over the pickle payload, so a corrupt, truncated or stale entry
+is rejected before ``pickle.loads`` sees it. Every surface reads and
+writes envelopes through :meth:`DurableStore.read_envelope` /
+:meth:`DurableStore.write_envelope`, so a reject degrades to a miss and
+is counted exactly once: on the store's :attr:`integrity_rejects` and
+as ``cache_integrity_rejects_total`` on its registry.
+
 :func:`atomic_write_bytes` is the raw primitive (absorbed here from
 ``resilience.py``): temp file in the destination directory +
 ``os.replace``, the temp unlinked on **every** failure path, with
@@ -24,7 +33,10 @@ opt-in durability flag (``REPRO_FSYNC=1`` flips the default).
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
+import pickle
+import re
 import tempfile
 from pathlib import Path
 from typing import Optional, Union
@@ -32,11 +44,16 @@ from typing import Optional, Union
 from .faults import FsFaultPlan, InjectedFsError, SimulatedCrash, fault_for
 
 __all__ = [
+    "CACHE_REJECTS_METRIC",
+    "ENVELOPE_MAGIC",
     "FSYNC_ENV",
     "FS_FAULTS_METRIC",
     "FS_WRITE_ERRORS_METRIC",
+    "CacheIntegrityError",
     "DurableStore",
     "atomic_write_bytes",
+    "decode_envelope",
+    "encode_envelope",
     "fsync_default",
 ]
 
@@ -45,6 +62,9 @@ FS_FAULTS_METRIC = "fs_faults_injected_total"
 
 #: Writes that raised — injected or real — whatever the surface policy.
 FS_WRITE_ERRORS_METRIC = "fs_write_errors_total"
+
+#: Envelopes rejected by checksum/version validation, on any surface.
+CACHE_REJECTS_METRIC = "cache_integrity_rejects_total"
 
 #: Set to ``1`` to make every store fsync before publishing (off by
 #: default: the tests and CI value wall-clock over power-loss safety).
@@ -120,6 +140,64 @@ def atomic_write_bytes(path: Path, data: bytes, *, fsync: bool = False,
         _fsync_dir(path.parent)
 
 
+# ---------------------------------------------------------------------------
+# Checksummed envelope
+# ---------------------------------------------------------------------------
+
+#: First bytes of every persisted result (cache entry or journal marker).
+ENVELOPE_MAGIC = b"repro-envelope\n"
+
+_HEADER_RE = re.compile(r"v(\d+) sha256:([0-9a-f]{64})")
+
+
+class CacheIntegrityError(RuntimeError):
+    """A persisted result failed envelope validation (treated as a miss)."""
+
+
+def encode_envelope(version: int, obj: object) -> bytes:
+    """Wrap ``obj`` in the integrity envelope: magic, version, checksum.
+
+    The sha256 covers the pickle payload, the version header covers the
+    writer's format version — so both bit rot and stale formats are
+    detected *before* ``pickle.loads`` ever sees the bytes.
+    """
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"v{int(version)} sha256:{digest}\n".encode("ascii")
+    return ENVELOPE_MAGIC + header + payload
+
+
+def decode_envelope(version: int, data: bytes) -> object:
+    """Validate and unwrap an envelope; raise :class:`CacheIntegrityError`.
+
+    Every reject names its reason — bad magic (foreign or pre-envelope
+    file), truncated or malformed header, stale version, checksum
+    mismatch, or a payload that no longer unpickles.
+    """
+    if not data.startswith(ENVELOPE_MAGIC):
+        raise CacheIntegrityError("missing envelope magic")
+    try:
+        header_end = data.index(b"\n", len(ENVELOPE_MAGIC))
+    except ValueError:
+        raise CacheIntegrityError("truncated envelope header") from None
+    header = data[len(ENVELOPE_MAGIC):header_end].decode("ascii", "replace")
+    match = _HEADER_RE.fullmatch(header)
+    if match is None:
+        raise CacheIntegrityError(f"malformed envelope header {header!r}")
+    if int(match.group(1)) != int(version):
+        raise CacheIntegrityError(
+            f"stale envelope version v{match.group(1)} (expected "
+            f"v{int(version)})")
+    payload = data[header_end + 1:]
+    if hashlib.sha256(payload).hexdigest() != match.group(2):
+        raise CacheIntegrityError("payload checksum mismatch")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise CacheIntegrityError(
+            f"checksummed payload failed to unpickle: {exc!r}") from exc
+
+
 class DurableStore:
     """Named, fault-injectable byte store for one durable surface.
 
@@ -147,6 +225,10 @@ class DurableStore:
         self.write_errors = 0
         self.read_errors = 0
         self.orphans_swept = 0
+        #: Envelopes :meth:`read_envelope` rejected, and the last reason
+        #: (``None`` unless the most recent read was a reject).
+        self.integrity_rejects = 0
+        self.last_reject: Optional[str] = None
 
     def _count(self, name: str) -> None:
         registry = self._registry
@@ -212,6 +294,32 @@ class DurableStore:
             return None
         except OSError:
             self.read_errors += 1
+            return None
+
+    def write_envelope(self, path: Union[str, Path], version: int,
+                       obj: object) -> bool:
+        """:meth:`write_bytes` of ``obj`` wrapped in a ``version`` envelope."""
+        return self.write_bytes(path, encode_envelope(version, obj))
+
+    def read_envelope(self, path: Union[str, Path], version: int) -> object:
+        """The object enveloped at ``path``, or ``None`` as a miss.
+
+        A read failure is a plain miss (:meth:`read_bytes`); an envelope
+        that fails validation is a miss counted once, on
+        :attr:`integrity_rejects` and as ``cache_integrity_rejects_total``
+        on the store's registry, with its reason kept on
+        :attr:`last_reject`.
+        """
+        self.last_reject = None
+        data = self.read_bytes(path)
+        if data is None:
+            return None
+        try:
+            return decode_envelope(version, data)
+        except CacheIntegrityError as exc:
+            self.integrity_rejects += 1
+            self.last_reject = str(exc)
+            self._count(CACHE_REJECTS_METRIC)
             return None
 
     def sweep_orphans(self, *directories: Union[str, Path]) -> int:

@@ -44,6 +44,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.resilience import JournalError, RunPolicy, chaos
 from repro.obs import MetricsRegistry, use_metrics
+from repro.storage import CACHE_REJECTS_METRIC
 
 #: The reference fleet: every Android 9 evaluation device x 5 trials of
 #: the notification scenario = 65 cells, ~1 ms each under stack reuse.
@@ -230,6 +231,10 @@ class TestCampaignManifest:
         with pytest.raises(JournalError, match="resume"):
             run_campaign(fleet_matrix(), shards=3, run_dir=run_dir)
 
+    def test_resume_requires_run_dir(self):
+        with pytest.raises(ValueError, match="run_dir"):
+            run_campaign(fleet_matrix(), shards=2, resume=True)
+
     def test_resume_on_fresh_dir_is_fine(self, tmp_path, fleet_reference):
         result = run_campaign(fleet_matrix(), shards=3,
                               run_dir=tmp_path / "new", resume=True)
@@ -271,6 +276,7 @@ class TestCampaignManifest:
             resumed = run_campaign(fleet_matrix(), shards=4,
                                    run_dir=run_dir, resume=True)
         assert registry.counter(SHARDS_COMPLETED_METRIC).value == 1
+        assert registry.counter(CACHE_REJECTS_METRIC).value == 1
         assert resumed.aggregates_json() == fleet_reference.aggregates_json()
 
     def test_fingerprint_pins_cell_universe(self):

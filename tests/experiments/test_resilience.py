@@ -52,6 +52,8 @@ from repro.experiments.resilience import (
     chaos_fire,
     run_supervised,
 )
+from repro.obs import MetricsRegistry, use_metrics
+from repro.storage import CACHE_REJECTS_METRIC
 
 # Deadline-test margins. The slowest real SMOKE experiment (table2)
 # takes ~0.6 s, so a DEADLINE_SECONDS deadline only ever fires on the
@@ -129,12 +131,25 @@ class TestChaosSpec:
             assert chaos_action("fig8", 7) == "poison"
             assert chaos_action("fig7", 1) is None
 
-    def test_bad_entry_raises(self):
-        with chaos("fig7:crash"):
-            with pytest.raises(ChaosError, match="expected"):
-                chaos_action("fig7", 1)
-        with chaos("fig7:1:explode"):
-            with pytest.raises(ChaosError, match="unknown chaos mode"):
+    def test_bad_entry_raises(self, monkeypatch):
+        bad = [
+            ("fig7:crash", "expected"),
+            ("fig7:1:explode", "unknown chaos mode"),
+            ("fig7:x:crash", "'fig7:x:crash'.*integer >= 1"),
+            ("fig7:0:crash", "'fig7:0:crash'.*integer >= 1"),
+            ("fig7:-1:crash", "'fig7:-1:crash'.*integer >= 1"),
+            # Validated even though its target never matches ``fig7``...
+            ("fig8:x:crash", "'fig8:x:crash'"),
+            # ...and before an earlier, valid entry can match.
+            ("fig7:1:crash,fig8:1:explode", "unknown chaos mode"),
+        ]
+        for spec, match in bad:
+            with pytest.raises(ChaosError, match=match):
+                with chaos(spec):  # parsed on entry
+                    pass
+            assert os.environ.get("REPRO_CHAOS") != spec
+            monkeypatch.setenv("REPRO_CHAOS", spec)
+            with pytest.raises(ChaosError, match=match):
                 chaos_action("fig7", 1)
 
     def test_context_restores_env(self):
@@ -343,7 +358,10 @@ class TestJournalResume:
         run_all(SMOKE, run_dir=run_dir)
         marker = run_dir / "results" / "fig7.pkl"
         marker.write_bytes(b"corrupted beyond recognition")
-        resumed = run_all(SMOKE, run_dir=run_dir, resume=True)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            resumed = run_all(SMOKE, run_dir=run_dir, resume=True)
+        assert registry.counter(CACHE_REJECTS_METRIC).value == 1
         assert resumed == smoke_clean_results
         by_name = {t.name: t for t in resumed.timings}
         assert not by_name["fig7"].cached

@@ -16,16 +16,17 @@ import threading
 
 import pytest
 
-from repro.experiments import CacheIntegrityError, ResultCache, SMOKE
+from repro.experiments import ResultCache, SMOKE
 from repro.experiments.parallel import CACHE_VERSION
-from repro.experiments.resilience import (
+from repro.obs import MetricsRegistry, use_metrics
+from repro.storage import (
     CACHE_REJECTS_METRIC,
     ENVELOPE_MAGIC,
+    CacheIntegrityError,
+    atomic_write_bytes,
     decode_envelope,
     encode_envelope,
 )
-from repro.obs import MetricsRegistry, use_metrics
-from repro.storage import atomic_write_bytes
 
 
 PAYLOAD = {"rows": [1, 2, 3], "label": "fig7"}

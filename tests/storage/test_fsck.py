@@ -10,10 +10,9 @@ from repro.experiments.parallel import CACHE_VERSION
 from repro.experiments.resilience import (
     JournalError,
     RunJournal,
-    encode_envelope,
     make_failure,
 )
-from repro.storage import format_fsck, fsck_run_dir
+from repro.storage import encode_envelope, format_fsck, fsck_run_dir
 
 CAMPAIGN_VERSION = 1
 

@@ -14,14 +14,15 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.parallel import CACHE_VERSION, ResultCache
-from repro.experiments.resilience import (
-    CACHE_REJECTS_METRIC,
-    JournalError,
-    RunJournal,
-)
+from repro.experiments.resilience import JournalError, RunJournal
 from repro.obs import MetricsRegistry, use_metrics
-from repro.serve.cache import SERVE_CACHE_REJECTS_METRIC, QueryCache
-from repro.storage import CHAOS_ENV, fs_chaos, reset_fs_fault_counters
+from repro.serve.cache import QueryCache
+from repro.storage import (
+    CACHE_REJECTS_METRIC,
+    CHAOS_ENV,
+    fs_chaos,
+    reset_fs_fault_counters,
+)
 
 MATRIX_SPEC = {
     "name": "fleet",
@@ -139,8 +140,10 @@ class TestQueryCacheDegradation:
         fresh = QueryCache(tmp_path, registry=registry)
         assert fresh.load("abc123") is None
         assert fresh.integrity_rejects == 1
-        assert registry.counter(SERVE_CACHE_REJECTS_METRIC).value == 1.0
+        # Counted once, under the one name every surface shares.
         assert registry.counter(CACHE_REJECTS_METRIC).value == 1.0
+        assert not any(sample.name.startswith("serve_cache_integrity")
+                       for sample in registry.samples())
 
     def test_memory_only_cache_never_touches_disk(self):
         cache = QueryCache(None)
